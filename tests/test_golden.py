@@ -1,0 +1,105 @@
+"""Golden outputs: sha256 digests of every data file the CLI writes.
+
+A small synthetic corpus goes through the whole pipeline (model files of
+both kinds, ``identify`` for every method with and without adaptation,
+``system1`` and a small ``sweep``). Each output's digest is pinned, so a
+refactor or optimisation that claims bit-identical behaviour proves it
+here. A change that alters outputs on purpose must re-pin the digests and
+say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from ngramlid.cli import main
+
+SPEC = {
+    "seed": 11,
+    "lines_per_language": 40,
+    "words_per_line": 5,
+    "mixing_rate": 0.25,
+    "shared": {"inventory": "etaoins", "word_lengths": [2, 3, 4]},
+    "languages": [
+        {"code": "kan", "inventory": "abcdefgh"},
+        {"code": "mal", "inventory": "cdefghij"},
+        {"code": "tam", "inventory": "efghijkl"},
+    ],
+}
+
+ADAPT = ["--adapt-k", "5", "--epochs", "1"]
+
+GOLDEN = {
+    "model-nb": "0d45ee1d352e297aafd72eab2a4094d0b3569418f9f6a50b23412f27181c99c8",
+    "model-heli": "894890d4b7f86d19a89308907808f08c9c3407b36ae473bbcf10eff38cae8235",
+    "identify-nb": "c126b903ace863917e433a5be9569298d5b127c64a58ff063d5603e8fa1b701b",
+    "identify-nb-trace": "cab1b57b9b4366b9782d00dc2b650586470408bc8dae6c1d86eed7fc31d581d0",
+    "identify-nb-adapt": "5df2898fe6d34e021fa84d8130fd59ef8684ffe5b920e375ea56eb3ad02ca720",
+    "identify-nb-adapt-trace": "4296ce638962903566b9b9665e3e0d3d8f01e2d55a6aa9f202c1da0bb8bbfacc",
+    "identify-simple": "a0c10e5d71fccb6d3fc523c99af62576adbb5dad8f7796f27732a19727b8e3eb",
+    "identify-simple-trace": "ba8f06052c1ab21d81be01369d944c6629ced28b0851d4da9eb26eb7eb2428b5",
+    "identify-simple-adapt": "fb4d65ac132ecc8a1361b38e56979e66427796169dd65ecf1ce8994721d6e19d",
+    "identify-simple-adapt-trace": "73864e1181cb15eaf11a2e3d45c4986c37bc0ee73e92066f5fa2fcabdb9dde87",
+    "identify-sumrf": "6c01fc2ef06b2cc6399ecbc386df5be0a74a5fa2b001dda899ee146030bc293f",
+    "identify-sumrf-trace": "599f8f286948b2132c080f224119ada90ccbc917065dca6c0aa72ab90b635f75",
+    "identify-sumrf-adapt": "5b761ad36d697ba25aec09573771a4e5de762982606eb75ae513a2eab1768429",
+    "identify-sumrf-adapt-trace": "74db180a9ce2d67fd7b08ca18075594ca3934ee971d1c2d1a4aa01c5ba39356c",
+    "identify-heli": "3901c3d6fd19bec1c4807525367d150ec33ba62004c6b7292091e9963f1ed33e",
+    "identify-heli-trace": "5e16a1902ee4b45a6ce0b0916aae1e4e9d2c1c9492fddab442a61eac6b7fabf7",
+    "identify-heli-adapt": "85ca060c938e6f45af1ec4ae37aef916d8bfb4d56df38e7504415d3d4bee0c77",
+    "identify-heli-adapt-trace": "25455ad39af94a7f94979d7d80c8f8ae29c3d70558eb8627775d5d24551a7131",
+    "system1": "c993d4e111d33999f12d44ade1a847eac65744d32922e4c26f134cc50beeeb04",
+    "system1-trace": "7fc5a346a2bb3cfdc0dfddd8cb6928e655e3ab6d47ebfa6d965b4ee0c41a67cb",
+    "sweep": "81a067ca4ee0bdb293d89b674d266223c024325c368defd1c6511f466cd8eb2d",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    spec = d / "spec.json"
+    spec.write_text(json.dumps(SPEC), encoding="utf-8")
+    corpus, train, dev, test = (d / n for n in ("corpus.tsv", "train.tsv", "dev.tsv", "test.txt"))
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    run("synth", "--spec", spec, "--out", corpus)
+    run("split", "--in", corpus, "--fraction", "0.8", "--train", train, "--dev", dev)
+    test.write_text(
+        "".join(line.split("\t")[0] + "\n" for line in dev.read_text("utf-8").splitlines()),
+        encoding="utf-8",
+    )
+    files = {}
+    files["model-nb"] = d / "nb.tsv"
+    run("train", "--in", train, "--min-n", "1", "--max-n", "4", "--pm", "2.0",
+        "--model", files["model-nb"])
+    files["model-heli"] = d / "heli.tsv"
+    run("train", "--in", train, "--method", "heli", "--lnr", "2-5", "--onr", "1-3",
+        "--pm", "2.15", "--model", files["model-heli"])
+    for method in ("nb", "simple", "sumrf", "heli"):
+        model = files["model-heli" if method == "heli" else "model-nb"]
+        for adapt in (False, True):
+            name = f"identify-{method}{'-adapt' if adapt else ''}"
+            files[name] = d / f"{name}.tsv"
+            files[f"{name}-trace"] = d / f"{name}-trace.tsv"
+            run("identify", "--model", model, "--in", test, "--method", method,
+                "--out", files[name], "--trace", files[f"{name}-trace"],
+                *(ADAPT if adapt else []))
+    files["system1"] = d / "system1.tsv"
+    files["system1-trace"] = d / "system1-trace.tsv"
+    run("system1", "--train", train, "--test", test, "--out", files["system1"],
+        "--trace", files["system1-trace"])
+    files["sweep"] = d / "sweep.tsv"
+    run("sweep", "--train", train, "--dev", dev, "--method", "nb",
+        "--ranges", "1-2,2-4", "--pms", "1.5,2.15", "--out", files["sweep"])
+    return {
+        name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()
+    }
+
+
+def test_golden_digests(outputs):
+    assert outputs == GOLDEN
