@@ -19,13 +19,12 @@ bulk split, which also makes the output identical to batch output.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Corpus, Document
 from .heli import HeliModelSet, heli_add_document, heli_score_doc
-from .ngram import ModelSet
+from .ngram import GramGroups, ModelSet
 from .scorers import (
     Prediction,
     lower_is_better,
@@ -55,8 +54,9 @@ class AdaptConfig:
 
 
 class _ScorerBackend:
-    """Gram-model backend: caches per-document gram multisets and supports
-    re-scoring a single language after its model changed."""
+    """Gram-model backend: caches each document's grams, grouped by length
+    once, and supports re-scoring a single language after its model
+    changed."""
 
     partial = True
 
@@ -64,16 +64,16 @@ class _ScorerBackend:
         self.model_set = model_set
         self.method = method
         self.lower = lower_is_better(method)
-        self._grams: dict[int, Counter] = {}
+        self._grams: dict[int, GramGroups] = {}
 
     @property
     def languages(self) -> list[str]:
         return self.model_set.languages
 
-    def grams(self, doc: Document) -> Counter:
+    def grams(self, doc: Document) -> GramGroups:
         g = self._grams.get(doc.id)
         if g is None:
-            g = self.model_set.doc_grams(doc)
+            g = GramGroups(self.model_set.doc_grams(doc))
             self._grams[doc.id] = g
         return g
 

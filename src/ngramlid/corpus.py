@@ -99,7 +99,8 @@ def load_tsv(path: str | Path, labeled: bool = True) -> Corpus:
     In labeled mode each line must be ``text<TAB>label``; in unlabeled
     mode the whole line is the text. Both LF and CRLF line endings are
     accepted. Raises :class:`CorpusError` on an empty file or, in
-    labeled mode, on a line with the wrong number of fields.
+    labeled mode, on a line with the wrong number of fields or an empty
+    label.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -114,6 +115,8 @@ def load_tsv(path: str | Path, labeled: bool = True) -> Corpus:
                         f"fields, got {len(fields)}"
                     )
                 text, label = fields
+                if not label:
+                    raise CorpusError(f"{path}: line {lineno + 1}: empty label")
                 docs.append(Document(id=lineno, text=text, label=label))
             else:
                 docs.append(Document(id=lineno, text=line, label=None))

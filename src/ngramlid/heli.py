@@ -23,8 +23,16 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .corpus import Corpus, Document, normalize
-from .ngram import ModelIOError, NgramModel, NgramRange, extract_ngrams
+from .corpus import Corpus, Document, NormalizedText, normalize
+from .ngram import (
+    ModelIOError,
+    NgramModel,
+    NgramRange,
+    _check_labels,
+    _check_lengths,
+    _read_model_lines,
+    extract_ngrams,
+)
 from .scorers import Prediction, to_prediction
 
 # sub-model kinds, in domain-precedence order
@@ -34,6 +42,7 @@ KIND_GRAM_ORIG = "gramO"
 KIND_GRAM_LOWER = "gramL"
 
 WORD_LENGTH_KEY = 0  # word sub-models store everything under pseudo-length 0
+WORD_KINDS = (KIND_WORD_ORIG, KIND_WORD_LOWER)
 
 
 @dataclass(frozen=True)
@@ -92,9 +101,8 @@ class HeliModelSet:
         return HeliModelSet(config=replace(self.config, pm=pm), submodels=subs)
 
 
-def _doc_items(doc: Document, config: HeliConfig) -> dict[str, Counter]:
-    """Countable items of one document per enabled sub-model kind."""
-    norm = normalize(doc.text)
+def _doc_items(norm: NormalizedText, config: HeliConfig) -> dict[str, Counter]:
+    """Countable items of one normalized document per enabled sub-model kind."""
     items: dict[str, Counter] = {}
     if config.ow:
         items[KIND_WORD_ORIG] = Counter(norm.words)
@@ -107,44 +115,50 @@ def _doc_items(doc: Document, config: HeliConfig) -> dict[str, Counter]:
     return items
 
 
-def _add_items(model: NgramModel, kind: str, items: Counter) -> None:
-    if kind in (KIND_WORD_ORIG, KIND_WORD_LOWER):
-        by_len = model.counts.setdefault(WORD_LENGTH_KEY, {})
-        for word, c in items.items():
-            by_len[word] = by_len.get(word, 0) + c
-        model.refresh()
-    else:
-        model.add_grams(items)
+def _item_length(kind: str) -> int | None:
+    """The length key a kind's items are counted under (None: their own)."""
+    return WORD_LENGTH_KEY if kind in WORD_KINDS else None
 
 
 def heli_build(train: Corpus, config: HeliConfig) -> HeliModelSet:
-    """Count words and grams per language over a labeled corpus."""
+    """Count words and grams per language over a labeled corpus.
+
+    Counts are folded document by document; totals and penalties are
+    computed once per sub-model at the end.
+    """
     if not train.labeled:
         raise ValueError("heli_build requires a labeled corpus")
     languages = sorted(train.label_set)
+    _check_labels(languages)
     subs = {
         kind: {lang: NgramModel(lang, config.pm) for lang in languages}
         for kind in config.enabled_kinds()
     }
     words_seen: Counter = Counter()
-    models = HeliModelSet(config=config, submodels=subs)
     for doc in train:
-        words_seen[doc.label] += len(normalize(doc.text).words)
-        for kind, items in _doc_items(doc, config).items():
-            _add_items(subs[kind][doc.label], kind, items)
+        norm = normalize(doc.text)
+        words_seen[doc.label] += len(norm.words)
+        for kind, items in _doc_items(norm, config).items():
+            subs[kind][doc.label].count_grams(items, _item_length(kind))
     for lang in languages:
         if words_seen[lang] == 0:
             raise ValueError(f"language {lang!r}: no words after normalization")
-    return models
+    for by_lang in subs.values():
+        for model in by_lang.values():
+            model.refresh()
+    return HeliModelSet(config=config, submodels=subs)
 
 
 def heli_add_document(models: HeliModelSet, doc: Document, language: str) -> HeliModelSet:
-    """Fold one document into a language's sub-models, in place."""
+    """Fold one document into a language's sub-models, in place.
+
+    Totals and penalties are updated for the lengths the document touches.
+    """
     if language not in models.languages:
         raise ValueError(f"unknown language {language!r}")
-    for kind, items in _doc_items(doc, models.config).items():
+    for kind, items in _doc_items(normalize(doc.text), models.config).items():
         if items:
-            _add_items(models.submodels[kind][language], kind, items)
+            models.submodels[kind][language].add_grams(items, _item_length(kind))
     return models
 
 
@@ -210,7 +224,7 @@ def _last_resort_values(models: HeliModelSet) -> dict[str, float]:
     config = models.config
     kind = config.enabled_kinds()[-1]
     by_lang = models.submodels[kind]
-    if kind in (KIND_WORD_ORIG, KIND_WORD_LOWER):
+    if kind in WORD_KINDS:
         return {lang: m.penalty(WORD_LENGTH_KEY) for lang, m in by_lang.items()}
     rng = config.onr if kind == KIND_GRAM_ORIG else config.lnr
     return {lang: m.penalty(rng.min_n) for lang, m in by_lang.items()}
@@ -311,8 +325,6 @@ def save_heli_models(models: HeliModelSet, path: str | Path) -> None:
 
 def load_heli_models(path: str | Path) -> HeliModelSet:
     """Load a model set written by ``save_heli_models``."""
-    from .ngram import _read_model_lines
-
     path = Path(path)
     header, rows, _ = _read_model_lines(path)
     try:
@@ -339,7 +351,7 @@ def load_heli_models(path: str | Path) -> HeliModelSet:
             length, count = int(length_s), int(count_s)
         except ValueError as exc:
             raise ModelIOError(f"{path}: non-integer length or count: {exc}") from exc
-        is_word = kind in (KIND_WORD_ORIG, KIND_WORD_LOWER)
+        is_word = kind in WORD_KINDS
         if count < 1 or (is_word and length != 0) or (not is_word and length != len(item)):
             raise ModelIOError(f"{path}: inconsistent row {fields!r}")
         languages.add(lang)
@@ -347,6 +359,14 @@ def load_heli_models(path: str | Path) -> HeliModelSet:
         model.counts.setdefault(length, {})[item] = count
     if not languages:
         raise ModelIOError(f"{path}: model file holds no rows")
+    if "" in languages:
+        raise ModelIOError(f"{path}: row with an empty language field")
+    for kind, rng, header in (
+        (KIND_GRAM_ORIG, config.onr, "onr"),
+        (KIND_GRAM_LOWER, config.lnr, "lnr"),
+    ):
+        if kind in kinds:
+            _check_lengths(path, subs[kind], rng, header)
     for kind in kinds:
         for lang in languages:
             model = subs[kind].setdefault(lang, NgramModel(lang, config.pm))

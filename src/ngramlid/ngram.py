@@ -21,6 +21,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .corpus import Corpus, Document, NormalizedText, normalize
 
@@ -29,6 +30,41 @@ MAX_NGRAM_LENGTH = 12
 
 class ModelIOError(ValueError):
     """Raised for unreadable or malformed model files."""
+
+
+def _check_pm(pm: float) -> None:
+    if pm <= 0:
+        raise ValueError(f"penalty modifier must be positive, got {pm}")
+
+
+def _check_labels(labels: Iterable[str]) -> None:
+    """Reject language labels that a model file cannot store.
+
+    Model rows start with the label and are tab-separated, one per line,
+    and a line starting with ``#`` is a header; so a label must be
+    non-empty, must not start with ``#`` and must not contain a tab, CR
+    or LF.
+    """
+    for label in sorted(labels):
+        if not label or label.startswith("#") or any(c in label for c in "\t\r\n"):
+            raise ValueError(
+                f"language label {label!r} cannot be stored in a model file: "
+                "labels must be non-empty, must not start with '#' and must "
+                "not contain a tab or line break"
+            )
+
+
+def _penalty(pm: float, total: int) -> float:
+    return pm * math.log(total) if total > 0 else 0.0
+
+
+def _fold(by_len: dict[str, int], pairs: Iterable[tuple[str, int]]) -> int:
+    """Add ``(item, count)`` pairs to one length's counts; returns the mass added."""
+    added = 0
+    for item, c in pairs:
+        by_len[item] = by_len.get(item, 0) + c
+        added += c
+    return added
 
 
 @dataclass(frozen=True)
@@ -80,9 +116,42 @@ def extract_ngrams(
     return grams
 
 
+class GramGroups:
+    """A gram multiset grouped by gram length, as ``(length, pairs)`` in
+    ``groups``, where ``pairs`` iterates ``(gram, count)``.
+
+    ``len()`` is the number of distinct grams, as for the Counter it was
+    made from. Scoring and folding walk the groups directly, so a document
+    that is scored many times (adaptation) is grouped only once. Each
+    length keeps a plain dict, not a list of tuples: a cache of per-gram
+    tuples is one garbage-collected object per gram, which made an nb
+    sweep run eight times as many full collections.
+    """
+
+    __slots__ = ("groups", "size")
+
+    def __init__(self, grams: Counter) -> None:
+        by_len: dict[int, dict[str, int]] = {}
+        for gram, c in grams.items():
+            n = len(gram)
+            group = by_len.get(n)
+            if group is None:
+                group = by_len[n] = {}
+            group[gram] = c
+        self.groups = [(n, group.items()) for n, group in by_len.items()]
+        self.size = len(grams)
+
+    def __len__(self) -> int:
+        return self.size
+
+
 @dataclass
 class NgramModel:
-    """Per-language gram counts, totals, and penalties, keyed by length."""
+    """Per-language gram counts, totals, and penalties, keyed by length.
+
+    ``totals`` and ``penalties`` must agree with ``counts``: code that
+    edits ``counts`` directly calls ``refresh`` before the model is used.
+    """
 
     language: str
     penalty_modifier: float
@@ -90,19 +159,48 @@ class NgramModel:
     totals: dict[int, int] = field(default_factory=dict)
     penalties: dict[int, float] = field(default_factory=dict)
 
-    def add_grams(self, grams: Counter) -> None:
+    def add_grams(
+        self, grams: "Counter | GramGroups", length: int | None = None
+    ) -> None:
+        """Fold a gram multiset into the model, one document at a time.
+
+        Items are keyed by their own length, or all by ``length`` when it
+        is given (word sub-models use pseudo-length 0). Only the totals
+        and penalties of the lengths the items touch are recomputed, with
+        the expression ``refresh`` uses, so a fold costs the size of
+        ``grams`` rather than the size of the model.
+        """
+        if length is not None:
+            groups = [(length, grams.items())]
+        elif isinstance(grams, GramGroups):
+            groups = grams.groups
+        else:
+            groups = GramGroups(grams).groups
+        pm = self.penalty_modifier
+        for n, pairs in groups:
+            total = self.totals.get(n, 0) + _fold(self.counts.setdefault(n, {}), pairs)
+            self.totals[n] = total
+            self.penalties[n] = _penalty(pm, total)
+
+    def count_grams(self, grams: Counter, length: int | None = None) -> None:
+        """Fold raw counts only, as ``add_grams`` does but leaving totals
+        and penalties stale.
+
+        Bulk builds fold every training document this way and call
+        ``refresh`` once per model at the end.
+        """
+        if length is not None:
+            _fold(self.counts.setdefault(length, {}), grams.items())
+            return
         for gram, c in grams.items():
             by_len = self.counts.setdefault(len(gram), {})
             by_len[gram] = by_len.get(gram, 0) + c
-        self.refresh()
 
     def refresh(self) -> None:
         """Recompute totals and penalties from the raw counts."""
         self.totals = {n: sum(d.values()) for n, d in self.counts.items()}
         pm = self.penalty_modifier
-        self.penalties = {
-            n: (pm * math.log(t) if t > 0 else 0.0) for n, t in self.totals.items()
-        }
+        self.penalties = {n: _penalty(pm, t) for n, t in self.totals.items()}
 
     def penalty(self, length: int) -> float:
         return self.penalties.get(length, 0.0)
@@ -112,10 +210,6 @@ class NgramModel:
         if not by_len or gram not in by_len:
             return 0.0
         return by_len[gram] / self.totals[len(gram)]
-
-    @property
-    def grand_total(self) -> int:
-        return sum(self.totals.values())
 
 
 @dataclass
@@ -151,6 +245,7 @@ class ModelSet:
         Counts are shared unless ``copy_counts`` is set; callers that go
         on to mutate the clone (adaptation) must request copies.
         """
+        _check_pm(pm)
         models = {}
         for lang, m in self.models.items():
             counts = (
@@ -180,12 +275,13 @@ def build_models(
     """Accumulate per-language gram counts over a labeled training corpus.
 
     Raises if any label's documents normalize to zero words, since the
-    resulting model would be empty.
+    resulting model would be empty, or if a label cannot be stored in a
+    model file.
     """
-    if pm <= 0:
-        raise ValueError(f"penalty modifier must be positive, got {pm}")
+    _check_pm(pm)
     if not train.labeled:
         raise ValueError("build_models requires a labeled corpus")
+    _check_labels(train.label_set)
 
     per_lang: dict[str, Counter] = defaultdict(Counter)
     words_seen: dict[str, int] = defaultdict(int)
@@ -199,7 +295,8 @@ def build_models(
         if words_seen[lang] == 0:
             raise ValueError(f"language {lang!r}: no words after normalization")
         model = NgramModel(language=lang, penalty_modifier=pm)
-        model.add_grams(per_lang[lang])
+        model.count_grams(per_lang[lang])
+        model.refresh()
         models[lang] = model
     return ModelSet(
         models=models,
@@ -214,9 +311,10 @@ def build_models(
 def add_document(model_set: ModelSet, doc: Document, language: str) -> ModelSet:
     """Fold one document's grams into a language's model, in place.
 
-    Totals and penalties of that language are refreshed; other languages
-    are untouched. Returns the same model set for convenience. Callers
-    must serialize concurrent updates.
+    Totals and penalties of that language are updated for the gram
+    lengths the document touches; other languages are untouched. Returns
+    the same model set for convenience. Callers must serialize concurrent
+    updates.
     """
     if language not in model_set.models:
         raise ValueError(f"unknown language {language!r}")
@@ -288,6 +386,22 @@ def _read_model_lines(path: Path) -> tuple[dict[str, str], list[list[str]], int]
     return header, rows, n_fields
 
 
+def _check_lengths(
+    path: Path, by_lang: dict[str, NgramModel], rng: NgramRange, header: str
+) -> None:
+    """Reject gram rows whose length lies outside the header's range.
+
+    Checks each (language, length) key once, after parsing.
+    """
+    for lang, model in by_lang.items():
+        for n in model.counts:
+            if not rng.min_n <= n <= rng.max_n:
+                raise ModelIOError(
+                    f"{path}: language {lang!r} has {n}-gram rows outside "
+                    f"#{header} {rng.min_n} {rng.max_n}"
+                )
+
+
 def is_heli_model_file(path: str | Path) -> bool:
     """Sniff whether a model file holds word+gram sub-models (5 columns)."""
     header, _, n_fields = _read_model_lines(Path(path))
@@ -324,6 +438,9 @@ def load_models(path: str | Path) -> ModelSet:
         model.counts.setdefault(length, {})[gram] = count
     if not models:
         raise ModelIOError(f"{path}: model file holds no gram rows")
+    if "" in models:
+        raise ModelIOError(f"{path}: row with an empty language field")
+    _check_lengths(path, models, rng, "range")
     for model in models.values():
         model.refresh()
     return ModelSet(

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Document
-from .ngram import ModelSet, NgramModel
+from .ngram import GramGroups, ModelSet, NgramModel
 
 METHODS = ("simple", "sum_rf", "nb")
 
@@ -26,7 +26,14 @@ class Prediction:
     margin: float
 
 
-def _grams_by_length(grams: Counter) -> list[tuple[int, list[tuple[str, int]]]]:
+def _grams_by_length(grams: Counter | GramGroups):
+    """``(length, (gram, count) pairs)`` groups of a gram multiset.
+
+    A one-off score groups into lists of tuples, the cheapest shape to
+    build and walk once; documents scored repeatedly arrive as GramGroups.
+    """
+    if isinstance(grams, GramGroups):
+        return grams.groups
     by_len: dict[int, list[tuple[str, int]]] = {}
     for gram, mult in grams.items():
         by_len.setdefault(len(gram), []).append((gram, mult))
@@ -99,14 +106,17 @@ def score_nb(grams: Counter, model_set: ModelSet) -> dict[str, float]:
     return score_with("nb", grams, model_set)
 
 
-def score_with(method: str, grams: Counter, model_set: ModelSet) -> dict[str, float]:
-    """Score all languages of a model set over a precomputed gram multiset."""
+def score_with(
+    method: str, grams: Counter | GramGroups, model_set: ModelSet
+) -> dict[str, float]:
+    """Score all languages of a model set over a precomputed gram multiset,
+    given as a Counter or already grouped by length."""
     scorer = _SCORERS[method]
     grouped = _grams_by_length(grams)
     return {lang: scorer(grouped, m) for lang, m in model_set.models.items()}
 
 
-def score_language(method: str, grams: Counter, model: NgramModel) -> float:
+def score_language(method: str, grams: Counter | GramGroups, model: NgramModel) -> float:
     """Score a single language; bit-identical to its entry in ``score_with``."""
     return _SCORERS[method](_grams_by_length(grams), model)
 

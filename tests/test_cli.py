@@ -238,3 +238,14 @@ def test_diagnostics_go_to_stderr_not_stdout(tmp_path, corpus_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "train" in captured.err
+
+
+@pytest.mark.parametrize("method", ["nb", "heli"])
+@pytest.mark.parametrize("lines", ["ab cd\t#x\nef gh\ten\n", "ab cd\t\nef gh\ten\n"])
+def test_label_a_model_file_cannot_store_exits_2(tmp_path, capsys, method, lines):
+    corpus = tmp_path / "train.tsv"
+    corpus.write_text(lines, encoding="utf-8")
+    model = tmp_path / "m.tsv"
+    assert main(["train", "--in", str(corpus), "--method", method, "--model", str(model)]) == 2
+    assert "label" in capsys.readouterr().err
+    assert not model.exists()

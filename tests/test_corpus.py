@@ -171,3 +171,10 @@ def test_ordered_split_rejects_bad_fraction(make_corpus):
     for fraction in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             ordered_split(corpus, fraction)
+
+
+def test_load_tsv_rejects_empty_label(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("good\ttam\ntext\t\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="line 2: empty label"):
+        load_tsv(path)

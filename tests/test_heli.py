@@ -254,3 +254,29 @@ def test_with_pm_rescales_penalties(toy):
     deep = toy.with_pm(4.0, copy_counts=True)
     heli_add_document(deep, Document(9, "ab"), "A")
     assert heli_score_word("ab", "ab", toy)["A"] == -math.log(2 / 3)
+
+
+@pytest.mark.parametrize(
+    "rows, header",
+    [("A\tgramL\t4\tabcd\t1\n", "lnr 2 3"), ("A\tgramO\t1\ta\t1\n", "onr 2 2")],
+)
+def test_load_rejects_gram_length_outside_range(tmp_path, rows, header):
+    path = tmp_path / "heli.tsv"
+    path.write_text(
+        "#version 1\n#pm 1.0\n#log natural\n#lnr 2 3\n#onr 2 2\n#lw 0\n#ow 0\n"
+        "A\tgramL\t2\tab\t1\n" + rows,
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match=f"outside #{header}"):
+        load_heli_models(path)
+
+
+def test_load_rejects_empty_language_field(tmp_path):
+    path = tmp_path / "heli.tsv"
+    path.write_text(
+        "#version 1\n#pm 1.0\n#log natural\n#lnr 2 2\n#onr -\n#lw 0\n#ow 0\n"
+        "\tgramL\t2\tab\t1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match="empty language"):
+        load_heli_models(path)

@@ -7,17 +7,24 @@ from collections import Counter
 import pytest
 
 from ngramlid import (
+    HeliConfig,
     ModelIOError,
+    NgramModel,
     NgramRange,
     add_document,
     build_models,
     classify,
     extract_ngrams,
+    heli_add_document,
+    heli_build,
+    load_heli_models,
     load_models,
     normalize,
+    save_heli_models,
     save_models,
 )
 from ngramlid.corpus import Document
+from ngramlid.ngram import GramGroups
 
 
 def test_extract_two_gram_padding():
@@ -296,3 +303,98 @@ def test_load_rejects_inconsistent_rows(tmp_path):
     empty.write_text(header)
     with pytest.raises(ModelIOError, match="no gram rows"):
         load_models(empty)
+
+
+def _refreshed(model):
+    fresh = NgramModel(model.language, model.penalty_modifier, counts=model.counts)
+    fresh.refresh()
+    return fresh
+
+
+def test_incremental_statistics_equal_a_full_refresh(make_corpus):
+    # one-letter words give no grams longer than 3, so later folds add
+    # lengths the model has never seen
+    corpus = make_corpus([("a b a", "A"), ("c", "B")])
+    model_set = build_models(corpus, NgramRange(1, 6), pm=2.15)
+    model = model_set.models["A"]
+    assert max(model.counts) == 3
+    rnd = random.Random(7)
+    for i in range(40):
+        text = " ".join(
+            "".join(rnd.choice("abcd") for _ in range(rnd.randint(1, 7)))
+            for _ in range(rnd.randint(0, 4))
+        )
+        add_document(model_set, Document(i, text), rnd.choice("AB"))
+    model.add_grams(Counter({"zzzzzzzzz": 2, "zz": 1}))  # length 9: outside the range
+    model.add_grams(GramGroups(Counter({"ab": 3, "abcd": 1})))
+    model.add_grams(Counter({"word": 2, "w": 1}), length=0)
+    assert {4, 5, 6, 9, 0} <= set(model.counts)
+    for m in model_set.models.values():
+        fresh = _refreshed(m)
+        assert m.totals == fresh.totals
+        assert m.penalties == fresh.penalties
+
+
+def test_heli_incremental_statistics_equal_a_full_refresh(make_corpus):
+    corpus = make_corpus([("Ab ab", "A"), ("cd", "B")])
+    config = HeliConfig(
+        lnr=NgramRange(2, 7), onr=NgramRange(1, 4), lw=True, ow=True, pm=2.15
+    )
+    models = heli_build(corpus, config)
+    assert max(models.submodels["gramL"]["A"].counts) == 4
+    rnd = random.Random(11)
+    for i in range(40):
+        text = " ".join(
+            "".join(rnd.choice("abcdAB") for _ in range(rnd.randint(1, 8)))
+            for _ in range(rnd.randint(0, 4))
+        )
+        heli_add_document(models, Document(i, text), rnd.choice("AB"))
+    assert max(models.submodels["gramL"]["A"].counts) == 7
+    for by_lang in models.submodels.values():
+        for m in by_lang.values():
+            fresh = _refreshed(m)
+            assert m.totals == fresh.totals
+            assert m.penalties == fresh.penalties
+
+
+@pytest.mark.parametrize("label", ["", "#x", "a\tb", "a\rb", "a\nb"])
+def test_builds_reject_labels_a_model_file_cannot_store(make_corpus, label):
+    corpus = make_corpus([("ab", label), ("cd", "en")])
+    with pytest.raises(ValueError, match="cannot be stored"):
+        build_models(corpus, NgramRange(1, 2), pm=2.0)
+    config = HeliConfig(lnr=NgramRange(1, 2), onr=None, lw=True, ow=False, pm=2.0)
+    with pytest.raises(ValueError, match="cannot be stored"):
+        heli_build(corpus, config)
+
+
+def test_unusual_but_storable_labels_round_trip(tmp_path, make_corpus):
+    corpus = make_corpus([("ab", "x#"), ("cd", "en IN"), ("ef", "ta-Latn")])
+    model_set = build_models(corpus, NgramRange(1, 2), pm=2.0)
+    save_models(model_set, tmp_path / "nb.tsv")
+    assert load_models(tmp_path / "nb.tsv").languages == ["en IN", "ta-Latn", "x#"]
+    config = HeliConfig(lnr=NgramRange(1, 2), onr=None, lw=True, ow=False, pm=2.0)
+    save_heli_models(heli_build(corpus, config), tmp_path / "heli.tsv")
+    assert load_heli_models(tmp_path / "heli.tsv").languages == ["en IN", "ta-Latn", "x#"]
+
+
+def test_with_pm_rejects_non_positive_pm(make_corpus):
+    model_set = build_models(make_corpus([("ab", "A")]), NgramRange(1, 2), pm=2.0)
+    for pm in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="penalty modifier must be positive"):
+            model_set.with_pm(pm)
+
+
+def test_load_rejects_gram_length_outside_range(tmp_path):
+    path = tmp_path / "model.tsv"
+    path.write_text(
+        "#version 1\n#range 2 3\n#pm 1.0\n#log natural\nA\t2\tab\t1\nA\t5\tabcde\t1\n"
+    )
+    with pytest.raises(ModelIOError, match="outside #range 2 3"):
+        load_models(path)
+
+
+def test_load_rejects_empty_language_field(tmp_path):
+    path = tmp_path / "model.tsv"
+    path.write_text("#version 1\n#range 1 2\n#pm 1.0\n#log natural\n\t1\ta\t1\n")
+    with pytest.raises(ModelIOError, match="empty language"):
+        load_models(path)
