@@ -361,12 +361,12 @@ def load_heli_models(path: str | Path) -> HeliModelSet:
         raise ModelIOError(f"{path}: model file holds no rows")
     if "" in languages:
         raise ModelIOError(f"{path}: row with an empty language field")
-    for kind, rng, header in (
+    for kind, rng, name in (
         (KIND_GRAM_ORIG, config.onr, "onr"),
         (KIND_GRAM_LOWER, config.lnr, "lnr"),
     ):
         if kind in kinds:
-            _check_lengths(path, subs[kind], rng, header)
+            _check_lengths(path, subs[kind], rng, name)
     for kind in kinds:
         for lang in languages:
             model = subs[kind].setdefault(lang, NgramModel(lang, config.pm))

@@ -145,6 +145,12 @@ class GramGroups:
         return self.size
 
 
+def group_by_length(grams: "Counter | GramGroups") -> list:
+    """The ``(length, pairs)`` groups of a gram multiset: a GramGroups'
+    own, or those of a Counter grouped on the spot."""
+    return grams.groups if isinstance(grams, GramGroups) else GramGroups(grams).groups
+
+
 @dataclass
 class NgramModel:
     """Per-language gram counts, totals, and penalties, keyed by length.
@@ -170,12 +176,7 @@ class NgramModel:
         the expression ``refresh`` uses, so a fold costs the size of
         ``grams`` rather than the size of the model.
         """
-        if length is not None:
-            groups = [(length, grams.items())]
-        elif isinstance(grams, GramGroups):
-            groups = grams.groups
-        else:
-            groups = GramGroups(grams).groups
+        groups = [(length, grams.items())] if length is not None else group_by_length(grams)
         pm = self.penalty_modifier
         for n, pairs in groups:
             total = self.totals.get(n, 0) + _fold(self.counts.setdefault(n, {}), pairs)

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Document
-from .ngram import GramGroups, ModelSet, NgramModel
+from .ngram import GramGroups, ModelSet, NgramModel, group_by_length
 
 METHODS = ("simple", "sum_rf", "nb")
 
@@ -24,20 +24,6 @@ class Prediction:
     best: str
     scores: dict[str, float]
     margin: float
-
-
-def _grams_by_length(grams: Counter | GramGroups):
-    """``(length, (gram, count) pairs)`` groups of a gram multiset.
-
-    A one-off score groups into lists of tuples, the cheapest shape to
-    build and walk once; documents scored repeatedly arrive as GramGroups.
-    """
-    if isinstance(grams, GramGroups):
-        return grams.groups
-    by_len: dict[int, list[tuple[str, int]]] = {}
-    for gram, mult in grams.items():
-        by_len.setdefault(len(gram), []).append((gram, mult))
-    return list(by_len.items())
 
 
 def _score_simple(grouped, model: NgramModel) -> float:
@@ -112,13 +98,13 @@ def score_with(
     """Score all languages of a model set over a precomputed gram multiset,
     given as a Counter or already grouped by length."""
     scorer = _SCORERS[method]
-    grouped = _grams_by_length(grams)
+    grouped = group_by_length(grams)
     return {lang: scorer(grouped, m) for lang, m in model_set.models.items()}
 
 
 def score_language(method: str, grams: Counter | GramGroups, model: NgramModel) -> float:
     """Score a single language; bit-identical to its entry in ``score_with``."""
-    return _SCORERS[method](_grams_by_length(grams), model)
+    return _SCORERS[method](group_by_length(grams), model)
 
 
 def lower_is_better(method: str) -> bool:
