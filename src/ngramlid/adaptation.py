@@ -47,7 +47,7 @@ class AdaptConfig:
     def __post_init__(self) -> None:
         if self.k != FULL and (not isinstance(self.k, int) or self.k < 1):
             raise ValueError(f"k must be a positive integer or {FULL!r}, got {self.k}")
-        if self.ct is not None and self.ct < 0:
+        if self.ct is not None and not self.ct >= 0:
             raise ValueError(f"confidence threshold must be non-negative, got {self.ct}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")

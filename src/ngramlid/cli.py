@@ -15,18 +15,14 @@ from pathlib import Path
 from .adaptation import FULL, AdaptConfig, adaptive_identify
 from .corpus import CorpusError, load_tsv, ordered_split, save_tsv
 from .evaluation import evaluate, sweep
-from .heli import (
-    HeliConfig,
-    heli_build,
-    load_heli_models,
-    save_heli_models,
-)
+from .heli import HeliConfig, heli_build, parse_heli_models, save_heli_models
 from .ngram import (
     ModelIOError,
     NgramRange,
+    _read_model_lines,
     build_models,
     is_heli_model_file,
-    load_models,
+    parse_models,
     save_models,
 )
 from .scorers import Prediction
@@ -173,12 +169,16 @@ def _cmd_train(args) -> int:
 
 
 def _load_any_models(path: str, method: str | None):
-    if is_heli_model_file(path):
-        return load_heli_models(path), "heli"
-    models = load_models(path)
-    if method == "heli":
-        raise ModelIOError(f"{path} is not a heli model file")
-    return models, method or "nb"
+    """Read a model file once, then build the kind its header and row
+    width name; ``method`` (None: the kind's default) must suit it."""
+    lines = _read_model_lines(Path(path))
+    heli = is_heli_model_file(lines[0], lines[2])
+    if method is not None and (method == "heli") != heli:
+        kind = "a heli" if heli else "not a heli"
+        raise ModelIOError(f"{path} is {kind} model file; method {method!r} cannot use it")
+    if heli:
+        return parse_heli_models(Path(path), *lines), "heli"
+    return parse_models(Path(path), *lines), method or "nb"
 
 
 def _cmd_identify(args) -> int:

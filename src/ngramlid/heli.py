@@ -29,8 +29,11 @@ from .ngram import (
     NgramModel,
     NgramRange,
     _check_labels,
-    _check_lengths,
+    _check_pm,
+    _parse_pm,
+    _parse_rows,
     _read_model_lines,
+    _write_model_file,
     extract_ngrams,
 )
 from .scorers import Prediction, to_prediction
@@ -56,8 +59,7 @@ class HeliConfig:
     def __post_init__(self) -> None:
         if not (self.lw or self.ow or self.lnr or self.onr):
             raise ValueError("at least one scoring domain must be enabled")
-        if self.pm <= 0:
-            raise ValueError(f"penalty modifier must be positive, got {self.pm}")
+        _check_pm(self.pm)
 
     def enabled_kinds(self) -> list[str]:
         kinds = []
@@ -86,19 +88,13 @@ class HeliModelSet:
         return []
 
     def with_pm(self, pm: float, copy_counts: bool = False) -> "HeliModelSet":
-        subs: dict[str, dict[str, NgramModel]] = {}
-        for kind, by_lang in self.submodels.items():
-            subs[kind] = {}
-            for lang, m in by_lang.items():
-                counts = (
-                    {n: dict(d) for n, d in m.counts.items()}
-                    if copy_counts
-                    else m.counts
-                )
-                clone = NgramModel(language=lang, penalty_modifier=pm, counts=counts)
-                clone.refresh()
-                subs[kind][lang] = clone
-        return HeliModelSet(config=replace(self.config, pm=pm), submodels=subs)
+        """Clone with a different penalty modifier, as ``ModelSet.with_pm``."""
+        config = replace(self.config, pm=pm)
+        subs = {
+            kind: {lang: m.clone(pm, copy_counts) for lang, m in by_lang.items()}
+            for kind, by_lang in self.submodels.items()
+        }
+        return HeliModelSet(config=config, submodels=subs)
 
 
 def _doc_items(norm: NormalizedText, config: HeliConfig) -> dict[str, Counter]:
@@ -302,7 +298,7 @@ def save_heli_models(models: HeliModelSet, path: str | Path) -> None:
     by (language, kind, length, item); word rows use length 0.
     """
     config = models.config
-    lines = [
+    header = [
         "#version 1",
         f"#pm {config.pm!r}",
         "#log natural",
@@ -311,64 +307,29 @@ def save_heli_models(models: HeliModelSet, path: str | Path) -> None:
         f"#lw {int(config.lw)}",
         f"#ow {int(config.ow)}",
     ]
-    rows = []
-    for kind, by_lang in models.submodels.items():
-        for lang, model in by_lang.items():
-            for length, by_item in model.counts.items():
-                for item, count in by_item.items():
-                    rows.append((lang, kind, length, item, count))
-    rows.sort()
-    lines.extend(f"{la}\t{k}\t{n}\t{it}\t{c}" for la, k, n, it, c in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_model_file(path, header, models.submodels)
 
 
-def load_heli_models(path: str | Path) -> HeliModelSet:
-    """Load a model set written by ``save_heli_models``."""
-    path = Path(path)
-    header, rows, _ = _read_model_lines(path)
+def parse_heli_models(path: Path, header: dict, rows: list, n_fields: int) -> HeliModelSet:
+    """Build a model set from a file split by ``_read_model_lines``."""
+    pm = _parse_pm(path, header)
     try:
         config = HeliConfig(
             lnr=_parse_range_header(header["lnr"]),
             onr=_parse_range_header(header["onr"]),
             lw=bool(int(header["lw"])),
             ow=bool(int(header["ow"])),
-            pm=float(header["pm"]),
+            pm=pm,
         )
     except (KeyError, ValueError) as exc:
         raise ModelIOError(f"{path}: bad or missing header: {exc}") from exc
-
-    kinds = set(config.enabled_kinds())
-    subs: dict[str, dict[str, NgramModel]] = {kind: {} for kind in kinds}
-    languages: set[str] = set()
-    for fields in rows:
-        if len(fields) != 5:
-            raise ModelIOError(f"{path}: expected 5 fields per row, got {len(fields)}")
-        lang, kind, length_s, item, count_s = fields
-        if kind not in kinds:
-            raise ModelIOError(f"{path}: row kind {kind!r} not enabled in header")
-        try:
-            length, count = int(length_s), int(count_s)
-        except ValueError as exc:
-            raise ModelIOError(f"{path}: non-integer length or count: {exc}") from exc
-        is_word = kind in WORD_KINDS
-        if count < 1 or (is_word and length != 0) or (not is_word and length != len(item)):
-            raise ModelIOError(f"{path}: inconsistent row {fields!r}")
-        languages.add(lang)
-        model = subs[kind].setdefault(lang, NgramModel(lang, config.pm))
-        model.counts.setdefault(length, {})[item] = count
-    if not languages:
-        raise ModelIOError(f"{path}: model file holds no rows")
-    if "" in languages:
-        raise ModelIOError(f"{path}: row with an empty language field")
-    for kind, rng, name in (
-        (KIND_GRAM_ORIG, config.onr, "onr"),
-        (KIND_GRAM_LOWER, config.lnr, "lnr"),
-    ):
-        if kind in kinds:
-            _check_lengths(path, subs[kind], rng, name)
-    for kind in kinds:
-        for lang in languages:
-            model = subs[kind].setdefault(lang, NgramModel(lang, config.pm))
-            model.refresh()
+    ranges = {KIND_GRAM_ORIG: ("onr", config.onr), KIND_GRAM_LOWER: ("lnr", config.lnr)}
+    kinds = {kind: ranges.get(kind) for kind in config.enabled_kinds()}
+    subs = _parse_rows(path, rows, n_fields, pm, kinds)
     return HeliModelSet(config=config, submodels=subs)
+
+
+def load_heli_models(path: str | Path) -> HeliModelSet:
+    """Load a model set written by ``save_heli_models``."""
+    path = Path(path)
+    return parse_heli_models(path, *_read_model_lines(path))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -27,14 +27,16 @@ from .corpus import Corpus, Document, NormalizedText, normalize
 
 MAX_NGRAM_LENGTH = 12
 
+GRAMS = "gram"  # the one sub-model kind of a ModelSet; its file rows carry no kind column
+
 
 class ModelIOError(ValueError):
     """Raised for unreadable or malformed model files."""
 
 
 def _check_pm(pm: float) -> None:
-    if pm <= 0:
-        raise ValueError(f"penalty modifier must be positive, got {pm}")
+    if not 0 < pm < math.inf:
+        raise ValueError(f"penalty modifier must be positive and finite, got {pm}")
 
 
 def _check_labels(labels: Iterable[str]) -> None:
@@ -203,6 +205,14 @@ class NgramModel:
         pm = self.penalty_modifier
         self.penalties = {n: _penalty(pm, t) for n, t in self.totals.items()}
 
+    def clone(self, pm: float, copy_counts: bool = False) -> "NgramModel":
+        """The same counts under penalty modifier ``pm``; the counts are
+        shared unless ``copy_counts`` is set."""
+        counts = {n: dict(d) for n, d in self.counts.items()} if copy_counts else self.counts
+        clone = NgramModel(language=self.language, penalty_modifier=pm, counts=counts)
+        clone.refresh()
+        return clone
+
     def penalty(self, length: int) -> float:
         return self.penalties.get(length, 0.0)
 
@@ -235,6 +245,11 @@ class ModelSet:
     def languages(self) -> list[str]:
         return sorted(self.models)
 
+    @property
+    def submodels(self) -> dict[str, dict[str, NgramModel]]:
+        """The models as a one-kind map, the shape ``HeliModelSet`` has."""
+        return {GRAMS: self.models}
+
     def doc_grams(self, doc: Document) -> Counter:
         """Gram multiset of a document under this model set's options."""
         norm = normalize(doc.text, concatenate=self.concatenate)
@@ -247,22 +262,8 @@ class ModelSet:
         on to mutate the clone (adaptation) must request copies.
         """
         _check_pm(pm)
-        models = {}
-        for lang, m in self.models.items():
-            counts = (
-                {n: dict(d) for n, d in m.counts.items()} if copy_counts else m.counts
-            )
-            clone = NgramModel(language=lang, penalty_modifier=pm, counts=counts)
-            clone.refresh()
-            models[lang] = clone
-        return ModelSet(
-            models=models,
-            range=self.range,
-            penalty_modifier=pm,
-            lowercase=self.lowercase,
-            pad=self.pad,
-            concatenate=self.concatenate,
-        )
+        models = {lang: m.clone(pm, copy_counts) for lang, m in self.models.items()}
+        return replace(self, models=models, penalty_modifier=pm)
 
 
 def build_models(
@@ -325,7 +326,23 @@ def add_document(model_set: ModelSet, doc: Document, language: str) -> ModelSet:
     return model_set
 
 
-_BOOL_KEYS = {"lowercase": True, "pad": True, "concat": False}
+def _write_model_file(path: str | Path, header: list[str], submodels: dict) -> None:
+    """Write header lines, then one row per counted item.
+
+    Rows are ``language<TAB>kind<TAB>length<TAB>item<TAB>count`` sorted by
+    (language, kind, length, item codepoint order); rows of kind ``GRAMS``
+    carry no kind column.
+    """
+    lines = list(header)
+    models = {(lang, kind): m for kind, by_lang in submodels.items() for lang, m in by_lang.items()}
+    for lang, kind in sorted(models):
+        prefix = f"{lang}\t" if kind == GRAMS else f"{lang}\t{kind}\t"
+        counts = models[lang, kind].counts
+        for n in sorted(counts):
+            head = f"{prefix}{n}\t"
+            lines.extend([f"{head}{item}\t{counts[n][item]}" for item in sorted(counts[n])])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_models(model_set: ModelSet, path: str | Path) -> None:
@@ -335,7 +352,7 @@ def save_models(model_set: ModelSet, path: str | Path) -> None:
     rows are ``language<TAB>length<TAB>gram<TAB>count`` sorted by
     (language, length, gram codepoint order).
     """
-    lines = [
+    header = [
         "#version 1",
         f"#range {model_set.range.min_n} {model_set.range.max_n}",
         f"#pm {model_set.penalty_modifier!r}",
@@ -344,17 +361,11 @@ def save_models(model_set: ModelSet, path: str | Path) -> None:
         f"#pad {int(model_set.pad)}",
         f"#concat {int(model_set.concatenate)}",
     ]
-    for lang in sorted(model_set.models):
-        model = model_set.models[lang]
-        for n in sorted(model.counts):
-            for gram in sorted(model.counts[n]):
-                lines.append(f"{lang}\t{n}\t{gram}\t{model.counts[n][gram]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_model_file(path, header, model_set.submodels)
 
 
 def _read_model_lines(path: Path) -> tuple[dict[str, str], list[list[str]], int]:
-    """Split a model file into header key/values and data rows.
+    """Split a model file into header key/values, data rows and the row width.
 
     A well-formed file ends with a newline; a missing one means the file
     was truncated mid-write.
@@ -387,68 +398,94 @@ def _read_model_lines(path: Path) -> tuple[dict[str, str], list[list[str]], int]
     return header, rows, n_fields
 
 
-def _check_lengths(
-    path: Path, by_lang: dict[str, NgramModel], rng: NgramRange, header: str
-) -> None:
-    """Reject gram rows whose length lies outside the header's range.
+def _parse_pm(path: Path, header: dict[str, str]) -> float:
+    try:
+        pm = float(header["pm"])
+        _check_pm(pm)
+    except (KeyError, ValueError) as exc:
+        raise ModelIOError(f"{path}: bad or missing header: {exc}") from exc
+    return pm
 
-    Checks each (language, length) key once, after parsing.
+
+def _parse_rows(path: Path, rows: list, n_fields: int, pm: float, kinds: dict) -> dict:
+    """Count rows into one refreshed model per (kind, language).
+
+    ``kinds`` maps each kind the header enables to ``(header name, gram
+    range)``, or to None for a word kind, whose rows use length 0. Rows
+    of kind ``GRAMS`` carry no kind column. Rows must be well formed,
+    unique and inside their kind's range, which is checked once per
+    (language, kind, length). Every language gets a model of every kind.
     """
-    for lang, model in by_lang.items():
-        for n in model.counts:
-            if not rng.min_n <= n <= rng.max_n:
+    width = 4 if GRAMS in kinds else 5
+    if rows and n_fields != width:
+        raise ModelIOError(f"{path}: expected {width} fields per row, got {n_fields}")
+    subs: dict[str, dict[str, NgramModel]] = {kind: {} for kind in kinds}
+    kind, key = GRAMS, None
+    for fields in rows:
+        if width == 4:
+            lang, length_s, item, count_s = fields
+        else:
+            lang, kind, length_s, item, count_s = fields
+        try:
+            length, count = int(length_s), int(count_s)
+        except ValueError as exc:
+            raise ModelIOError(f"{path}: non-integer length or count: {exc}") from exc
+        if (lang, kind, length) != key:
+            key = (lang, kind, length)
+            if kind not in kinds:
+                raise ModelIOError(f"{path}: row kind {kind!r} not enabled in header")
+            if not lang:
+                raise ModelIOError(f"{path}: row with an empty language field")
+            spec = kinds[kind]
+            if spec and not spec[1].min_n <= length <= spec[1].max_n:
+                name, rng = spec
                 raise ModelIOError(
-                    f"{path}: language {lang!r} has {n}-gram rows outside "
-                    f"#{header} {rng.min_n} {rng.max_n}"
+                    f"{path}: language {lang!r} has {length}-gram rows outside "
+                    f"#{name} {rng.min_n} {rng.max_n}"
                 )
+            model = subs[kind].get(lang)
+            if model is None:
+                model = subs[kind][lang] = NgramModel(language=lang, penalty_modifier=pm)
+            by_item = model.counts.setdefault(length, {})
+        if count < 1 or length != (len(item) if spec else 0):
+            raise ModelIOError(f"{path}: inconsistent row {fields!r}")
+        if item in by_item:
+            raise ModelIOError(f"{path}: duplicate row {fields!r}")
+        by_item[item] = count
+    languages = sorted({lang for by_lang in subs.values() for lang in by_lang})
+    if not languages:
+        raise ModelIOError(f"{path}: model file holds no gram rows")
+    for by_lang in subs.values():
+        for lang in languages:
+            if lang not in by_lang:
+                by_lang[lang] = NgramModel(language=lang, penalty_modifier=pm)
+            by_lang[lang].refresh()
+    return subs
 
 
-def is_heli_model_file(path: str | Path) -> bool:
-    """Sniff whether a model file holds word+gram sub-models (5 columns)."""
-    header, _, n_fields = _read_model_lines(Path(path))
+def is_heli_model_file(header: dict[str, str], n_fields: int) -> bool:
+    """Whether a file split by ``_read_model_lines`` holds word+gram
+    sub-models: it has a ``#lw`` header or 5-column rows."""
     return "lw" in header or n_fields == 5
+
+
+def parse_models(path: Path, header: dict, rows: list, n_fields: int) -> ModelSet:
+    """Build a model set from a file split by ``_read_model_lines``."""
+    pm = _parse_pm(path, header)
+    try:
+        lo, hi = header["range"].split()
+        rng = NgramRange(int(lo), int(hi))
+        lowercase, pad, concat = (
+            bool(int(header.get(key, default)))
+            for key, default in (("lowercase", "1"), ("pad", "1"), ("concat", "0"))
+        )
+    except (KeyError, ValueError) as exc:
+        raise ModelIOError(f"{path}: bad or missing header: {exc}") from exc
+    models = _parse_rows(path, rows, n_fields, pm, {GRAMS: ("range", rng)})[GRAMS]
+    return ModelSet(models, rng, pm, lowercase, pad, concat)
 
 
 def load_models(path: str | Path) -> ModelSet:
     """Load a model set written by ``save_models``. Round-trip identity holds."""
     path = Path(path)
-    header, rows, _ = _read_model_lines(path)
-    try:
-        lo, hi = header["range"].split()
-        rng = NgramRange(int(lo), int(hi))
-        pm = float(header["pm"])
-    except (KeyError, ValueError) as exc:
-        raise ModelIOError(f"{path}: bad or missing header: {exc}") from exc
-    opts = {
-        key: bool(int(header.get(key, str(int(default)))))
-        for key, default in _BOOL_KEYS.items()
-    }
-
-    models: dict[str, NgramModel] = {}
-    for lineno, fields in enumerate(rows, start=1):
-        if len(fields) != 4:
-            raise ModelIOError(f"{path}: expected 4 fields per row, got {len(fields)}")
-        lang, length_s, gram, count_s = fields
-        try:
-            length, count = int(length_s), int(count_s)
-        except ValueError as exc:
-            raise ModelIOError(f"{path}: non-integer length or count: {exc}") from exc
-        if length != len(gram) or count < 1:
-            raise ModelIOError(f"{path}: inconsistent row {fields!r}")
-        model = models.setdefault(lang, NgramModel(language=lang, penalty_modifier=pm))
-        model.counts.setdefault(length, {})[gram] = count
-    if not models:
-        raise ModelIOError(f"{path}: model file holds no gram rows")
-    if "" in models:
-        raise ModelIOError(f"{path}: row with an empty language field")
-    _check_lengths(path, models, rng, "range")
-    for model in models.values():
-        model.refresh()
-    return ModelSet(
-        models=models,
-        range=rng,
-        penalty_modifier=pm,
-        lowercase=opts["lowercase"],
-        pad=opts["pad"],
-        concatenate=opts["concat"],
-    )
+    return parse_models(path, *_read_model_lines(path))

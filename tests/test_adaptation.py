@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -270,6 +271,8 @@ def test_config_validation():
         AdaptConfig(k="half")
     with pytest.raises(ValueError):
         AdaptConfig(ct=-1.0)
+    with pytest.raises(ValueError):
+        AdaptConfig(ct=math.nan)
     with pytest.raises(ValueError):
         AdaptConfig(epochs=-1)
     assert AdaptConfig(k=FULL).k == FULL

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from ngramlid.cli import main, parse_pms_spec, parse_ranges_spec
-from ngramlid.ngram import NgramRange
+from ngramlid import cli
+from ngramlid.cli import _load_any_models, main, parse_pms_spec, parse_ranges_spec
+from ngramlid.heli import save_heli_models
+from ngramlid.ngram import NgramRange, save_models
 
 SYNTH_SPEC = {
     "seed": 5,
@@ -221,6 +223,13 @@ def test_model_method_mismatch_exits_2(tmp_path, corpus_file):
         ["identify", "--model", str(model), "--in", str(test_file),
          "--out", str(tmp_path / "p.tsv"), "--method", "heli"]
     ) == 2
+    heli_model = tmp_path / "heli.tsv"
+    main(["train", "--in", str(train), "--method", "heli", "--model", str(heli_model)])
+    for method in ("nb", "simple", "sumrf"):
+        assert main(
+            ["identify", "--model", str(heli_model), "--in", str(test_file),
+             "--out", str(tmp_path / "p.tsv"), "--method", method]
+        ) == 2
 
 
 def test_console_entry_point(tmp_path):
@@ -249,3 +258,56 @@ def test_label_a_model_file_cannot_store_exits_2(tmp_path, capsys, method, lines
     assert main(["train", "--in", str(corpus), "--method", method, "--model", str(model)]) == 2
     assert "label" in capsys.readouterr().err
     assert not model.exists()
+
+
+def test_non_finite_penalty_modifier_or_threshold_exits_2(tmp_path, corpus_file, capsys):
+    train, dev = _split(tmp_path, corpus_file)
+    model = tmp_path / "model.tsv"
+    assert main(["train", "--in", str(train), "--pm", "inf", "--model", str(model)]) == 2
+    assert main(["train", "--in", str(train), "--method", "heli", "--pm", "nan",
+                 "--model", str(model)]) == 2
+    assert not model.exists()
+    assert main(["train", "--in", str(train), "--model", str(model)]) == 0
+    test_file = _strip_labels(tmp_path, dev)
+    identify = ["identify", "--model", str(model), "--in", str(test_file),
+                "--out", str(tmp_path / "p.tsv")]
+    assert main(identify + ["--ct", "nan"]) == 2
+    text = model.read_text(encoding="utf-8")
+    for pm in ("-1", "nan", "inf"):
+        model.write_text(text.replace("#pm 2.15\n", f"#pm {pm}\n"), encoding="utf-8")
+        capsys.readouterr()
+        assert main(identify) == 2
+        assert "penalty modifier must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["nb", "heli", "heli-partial"])
+def test_dispatcher_round_trip_is_byte_identical(tmp_path, corpus_file, method):
+    train, _ = _split(tmp_path, corpus_file)
+    model, again = tmp_path / "model.tsv", tmp_path / "again.tsv"
+    args = {
+        "nb": ["--min-n", "1", "--max-n", "3", "--keep-case"],
+        "heli": ["--method", "heli"],
+        "heli-partial": ["--method", "heli", "--onr", "-", "--lnr", "3-4", "--ow", "n"],
+    }[method]
+    assert main(["train", "--in", str(train), "--model", str(model)] + args) == 0
+    models, kind = _load_any_models(str(model), None)
+    assert kind == ("nb" if method == "nb" else "heli")
+    (save_models if kind == "nb" else save_heli_models)(models, again)
+    assert again.read_bytes() == model.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["nb", "heli"])
+def test_dispatcher_reads_the_model_file_once(tmp_path, corpus_file, monkeypatch, method):
+    train, _ = _split(tmp_path, corpus_file)
+    model = tmp_path / "model.tsv"
+    assert main(["train", "--in", str(train), "--method", method, "--model", str(model)]) == 0
+    reads = []
+    read_text = cli.Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Path, "read_text", counting_read_text)
+    _load_any_models(str(model), None)
+    assert reads == [model]

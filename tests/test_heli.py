@@ -39,8 +39,9 @@ def toy(make_corpus):
 def test_config_needs_one_domain():
     with pytest.raises(ValueError):
         HeliConfig(lnr=None, onr=None, lw=False, ow=False, pm=1.0)
-    with pytest.raises(ValueError):
-        HeliConfig(lnr=NgramRange(1, 2), onr=None, lw=False, ow=False, pm=0.0)
+    for pm in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="penalty modifier must be positive"):
+            HeliConfig(lnr=NgramRange(1, 2), onr=None, lw=False, ow=False, pm=pm)
 
 
 def test_word_known_to_both_languages(toy):
@@ -279,4 +280,27 @@ def test_load_rejects_empty_language_field(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ModelIOError, match="empty language"):
+        load_heli_models(path)
+
+
+def test_load_rejects_duplicate_rows(tmp_path):
+    path = tmp_path / "heli.tsv"
+    path.write_text(
+        "#version 1\n#pm 1.0\n#log natural\n#lnr -\n#onr -\n#lw 1\n#ow 0\n"
+        "A\twordL\t0\tab\t3\nB\twordL\t0\tab\t1\nA\twordL\t0\tab\t5\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match="duplicate row"):
+        load_heli_models(path)
+
+
+@pytest.mark.parametrize("pm", ["-1", "nan", "inf"])
+def test_load_rejects_bad_pm_header(tmp_path, pm):
+    path = tmp_path / "heli.tsv"
+    path.write_text(
+        f"#version 1\n#pm {pm}\n#log natural\n#lnr -\n#onr -\n#lw 1\n#ow 0\n"
+        "A\twordL\t0\tab\t1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match="penalty modifier must be positive"):
         load_heli_models(path)

@@ -384,6 +384,31 @@ def test_with_pm_rejects_non_positive_pm(make_corpus):
             model_set.with_pm(pm)
 
 
+def test_non_finite_pm_rejected(make_corpus):
+    corpus = make_corpus([("ab", "A")])
+    model_set = build_models(corpus, NgramRange(1, 2), pm=2.0)
+    for pm in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="penalty modifier must be positive"):
+            build_models(corpus, NgramRange(1, 2), pm=pm)
+        with pytest.raises(ValueError, match="penalty modifier must be positive"):
+            model_set.with_pm(pm)
+
+
+@pytest.mark.parametrize("pm", ["-1", "0", "nan", "inf", "x"])
+def test_load_rejects_bad_pm_header(tmp_path, pm):
+    path = tmp_path / "model.tsv"
+    path.write_text(f"#version 1\n#range 1 2\n#pm {pm}\n#log natural\nA\t1\ta\t1\n")
+    with pytest.raises(ModelIOError, match="bad or missing header"):
+        load_models(path)
+
+
+def test_load_rejects_duplicate_rows(tmp_path):
+    path = tmp_path / "model.tsv"
+    path.write_text("#version 1\n#range 2 2\n#pm 1.0\n#log natural\nA\t2\tab\t3\nA\t2\tab\t5\n")
+    with pytest.raises(ModelIOError, match="duplicate row"):
+        load_models(path)
+
+
 def test_load_rejects_gram_length_outside_range(tmp_path):
     path = tmp_path / "model.tsv"
     path.write_text(
