@@ -62,16 +62,18 @@ def _parse_yn(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected y or n, got {value!r}")
 
 
-def _parse_k(value: str) -> int | str:
-    if value.lower() == FULL:
-        return FULL
+def _positive_int(value: str) -> int:
     try:
-        k = int(value)
+        n = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'full', got {value!r}")
-    if k < 1:
-        raise argparse.ArgumentTypeError("k must be >= 1")
-    return k
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return n
+
+
+def _parse_k(value: str) -> int | str:
+    return FULL if value.lower() == FULL else _positive_int(value)
 
 
 def parse_ranges_spec(spec: str) -> list[NgramRange]:
@@ -315,7 +317,7 @@ def build_parser() -> _Parser:
     p.add_argument("--adapt-k", type=_parse_k, default=None, help="adapt during sweep")
     p.add_argument("--ct", type=float, default=None, help="confidence threshold")
     p.add_argument("--epochs", type=int, default=None, help="adaptation epochs")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p.add_argument("--out", required=True, help="output TSV of all grid cells")
     p.set_defaults(func=_cmd_sweep)
 

@@ -137,14 +137,14 @@ class SweepResult:
 
 
 def _run_range(args) -> list[SweepRow]:
-    train, dev, method, rng, pms, adapt, lowercase, pad = args
+    train, dev, method, rng, pms, adapt = args
     rows = []
     if method == "heli":
         base = heli_build(
             train, HeliConfig(lnr=rng, onr=rng, lw=True, ow=True, pm=pms[0])
         )
     else:
-        base = build_models(train, rng, pms[0], lowercase=lowercase, pad=pad)
+        base = build_models(train, rng, pms[0])
     for pm in pms:
         models = base.with_pm(pm, copy_counts=adapt is not None)
         preds = adaptive_identify(dev, models, method, adapt or AdaptConfig(epochs=0))
@@ -161,8 +161,6 @@ def sweep(
     pms: list[float],
     adapt: AdaptConfig | None = None,
     jobs: int = 1,
-    lowercase: bool = True,
-    pad: bool = True,
 ) -> SweepResult:
     """Evaluate every (range, pm) grid cell on the dev split.
 
@@ -170,10 +168,13 @@ def sweep(
     penalty grid is ignored for the two methods that never smooth.
     Rows come back sorted by macro F1 descending, ties by
     (range.min_n, range.max_n, pm) ascending; repeated runs produce
-    identical output.
+    identical output. ``jobs`` worker processes (at least 1) build the
+    ranges.
     """
     if method not in SWEEP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {SWEEP_METHODS}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     range_list = sorted(set(ranges), key=lambda r: (r.min_n, r.max_n))
     if not range_list:
         raise ValueError("sweep grid has no n-gram ranges")
@@ -184,13 +185,11 @@ def sweep(
     else:
         pm_list = [1.0]
 
-    tasks = [
-        (train, dev, method, rng, pm_list, adapt, lowercase, pad)
-        for rng in range_list
-    ]
+    tasks = [(train, dev, method, rng, pm_list, adapt) for rng in range_list]
     rows: list[SweepRow] = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-started pool starts all its workers at once; one per range suffices
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for chunk in pool.map(_run_range, tasks):
                 rows.extend(chunk)
     else:

@@ -1,12 +1,14 @@
 """Word-level backoff classifier over word and character n-gram domains.
 
 Each word of a document is scored in the most specific model domain
-that knows anything about it. Domain precedence is fixed: original-cased
-words, lowercased words, original-cased grams (longest length first),
-lowercased grams (longest first). Within a gram domain the word's score
-is the mean of per-gram values; a gram no language has ever seen backs
-off by dropping its final character until something matches or the
-minimum length is passed, in which case it drops out of the mean.
+that knows anything about it. Domain precedence is fixed
+(``HeliConfig._domains``): original-cased words (wordO), lowercased
+words (wordL), original-cased grams (gramO, longest length first),
+lowercased grams (gramL, longest first). Within a gram domain the
+word's score is the mean of per-gram values; a gram no language has
+ever seen backs off by dropping its final character until something
+matches or the minimum length is passed, in which case it drops out of
+the mean.
 
 A word present in a language's model contributes -log of its relative
 frequency; a word (or gram) the language is missing contributes that
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .corpus import Corpus, Document, NormalizedText, normalize
@@ -28,7 +31,7 @@ from .ngram import (
     ModelIOError,
     NgramModel,
     NgramRange,
-    _check_labels,
+    _build,
     _check_pm,
     _parse_pm,
     _parse_rows,
@@ -38,14 +41,7 @@ from .ngram import (
 )
 from .scorers import Prediction, to_prediction
 
-# sub-model kinds, in domain-precedence order
-KIND_WORD_ORIG = "wordO"
-KIND_WORD_LOWER = "wordL"
-KIND_GRAM_ORIG = "gramO"
-KIND_GRAM_LOWER = "gramL"
-
 WORD_LENGTH_KEY = 0  # word sub-models store everything under pseudo-length 0
-WORD_KINDS = (KIND_WORD_ORIG, KIND_WORD_LOWER)
 
 
 @dataclass(frozen=True)
@@ -61,17 +57,20 @@ class HeliConfig:
             raise ValueError("at least one scoring domain must be enabled")
         _check_pm(self.pm)
 
+    @cached_property
+    def _domains(self) -> tuple[tuple[str, NgramRange | None, bool], ...]:
+        """The enabled domains in precedence order, as ``(sub-model kind,
+        gram range or None for a word kind, lowercased)``."""
+        table = (
+            ("wordO", self.ow, None, False),
+            ("wordL", self.lw, None, True),
+            ("gramO", self.onr, self.onr, False),
+            ("gramL", self.lnr, self.lnr, True),
+        )
+        return tuple((kind, rng, lower) for kind, enabled, rng, lower in table if enabled)
+
     def enabled_kinds(self) -> list[str]:
-        kinds = []
-        if self.ow:
-            kinds.append(KIND_WORD_ORIG)
-        if self.lw:
-            kinds.append(KIND_WORD_LOWER)
-        if self.onr:
-            kinds.append(KIND_GRAM_ORIG)
-        if self.lnr:
-            kinds.append(KIND_GRAM_LOWER)
-        return kinds
+        return [kind for kind, _, _ in self._domains]
 
 
 @dataclass
@@ -83,9 +82,7 @@ class HeliModelSet:
 
     @property
     def languages(self) -> list[str]:
-        for kind in self.config.enabled_kinds():
-            return sorted(self.submodels[kind])
-        return []
+        return sorted(self.submodels[self.config._domains[0][0]])
 
     def with_pm(self, pm: float, copy_counts: bool = False) -> "HeliModelSet":
         """Clone with a different penalty modifier, as ``ModelSet.with_pm``."""
@@ -97,51 +94,26 @@ class HeliModelSet:
         return HeliModelSet(config=config, submodels=subs)
 
 
-def _doc_items(norm: NormalizedText, config: HeliConfig) -> dict[str, Counter]:
-    """Countable items of one normalized document per enabled sub-model kind."""
-    items: dict[str, Counter] = {}
-    if config.ow:
-        items[KIND_WORD_ORIG] = Counter(norm.words)
-    if config.lw:
-        items[KIND_WORD_LOWER] = Counter(norm.lowercased)
-    if config.onr:
-        items[KIND_GRAM_ORIG] = extract_ngrams(norm, config.onr, lowercase=False)
-    if config.lnr:
-        items[KIND_GRAM_LOWER] = extract_ngrams(norm, config.lnr, lowercase=True)
-    return items
-
-
-def _item_length(kind: str) -> int | None:
-    """The length key a kind's items are counted under (None: their own)."""
-    return WORD_LENGTH_KEY if kind in WORD_KINDS else None
+def _doc_items(norm: NormalizedText, config: HeliConfig) -> list[tuple]:
+    """``(kind, items, length key)`` of one normalized document per enabled
+    domain; gram items are keyed by their own length (None)."""
+    return [
+        (kind, Counter(norm.lowercased if lower else norm.words), WORD_LENGTH_KEY)
+        if rng is None
+        else (kind, extract_ngrams(norm, rng, lowercase=lower), None)
+        for kind, rng, lower in config._domains
+    ]
 
 
 def heli_build(train: Corpus, config: HeliConfig) -> HeliModelSet:
     """Count words and grams per language over a labeled corpus.
 
     Counts are folded document by document; totals and penalties are
-    computed once per sub-model at the end.
+    computed once per sub-model at the end. Raises for an unlabeled
+    corpus, a label a model file cannot store or a language with no words.
     """
-    if not train.labeled:
-        raise ValueError("heli_build requires a labeled corpus")
-    languages = sorted(train.label_set)
-    _check_labels(languages)
-    subs = {
-        kind: {lang: NgramModel(lang, config.pm) for lang in languages}
-        for kind in config.enabled_kinds()
-    }
-    words_seen: Counter = Counter()
-    for doc in train:
-        norm = normalize(doc.text)
-        words_seen[doc.label] += len(norm.words)
-        for kind, items in _doc_items(norm, config).items():
-            subs[kind][doc.label].count_grams(items, _item_length(kind))
-    for lang in languages:
-        if words_seen[lang] == 0:
-            raise ValueError(f"language {lang!r}: no words after normalization")
-    for by_lang in subs.values():
-        for model in by_lang.values():
-            model.refresh()
+    kinds = config.enabled_kinds()
+    subs = _build(train, "heli_build", kinds, config.pm, lambda norm: _doc_items(norm, config))
     return HeliModelSet(config=config, submodels=subs)
 
 
@@ -152,9 +124,9 @@ def heli_add_document(models: HeliModelSet, doc: Document, language: str) -> Hel
     """
     if language not in models.languages:
         raise ValueError(f"unknown language {language!r}")
-    for kind, items in _doc_items(normalize(doc.text), models.config).items():
+    for kind, items, length in _doc_items(normalize(doc.text), models.config):
         if items:
-            models.submodels[kind][language].add_grams(items, _item_length(kind))
+            models.submodels[kind][language].add_grams(items, length)
     return models
 
 
@@ -217,38 +189,22 @@ def _gram_domain_values(
 
 def _last_resort_values(models: HeliModelSet) -> dict[str, float]:
     """Every language pays the penalty of the last domain in precedence."""
-    config = models.config
-    kind = config.enabled_kinds()[-1]
-    by_lang = models.submodels[kind]
-    if kind in WORD_KINDS:
-        return {lang: m.penalty(WORD_LENGTH_KEY) for lang, m in by_lang.items()}
-    rng = config.onr if kind == KIND_GRAM_ORIG else config.lnr
-    return {lang: m.penalty(rng.min_n) for lang, m in by_lang.items()}
+    kind, rng, _ = models.config._domains[-1]
+    length = WORD_LENGTH_KEY if rng is None else rng.min_n
+    return {lang: m.penalty(length) for lang, m in models.submodels[kind].items()}
 
 
 def heli_score_word(
     word_original: str, word_lowercased: str, models: HeliModelSet
 ) -> dict[str, float]:
     """Score one word in the first domain that recognizes it."""
-    config = models.config
-    if config.ow:
-        values = _word_domain_values(word_original, models.submodels[KIND_WORD_ORIG])
-        if values is not None:
-            return values
-    if config.lw:
-        values = _word_domain_values(word_lowercased, models.submodels[KIND_WORD_LOWER])
-        if values is not None:
-            return values
-    if config.onr:
-        values = _gram_domain_values(
-            word_original, config.onr, models.submodels[KIND_GRAM_ORIG]
-        )
-        if values is not None:
-            return values
-    if config.lnr:
-        values = _gram_domain_values(
-            word_lowercased, config.lnr, models.submodels[KIND_GRAM_LOWER]
-        )
+    for kind, rng, lower in models.config._domains:
+        word = word_lowercased if lower else word_original
+        by_lang = models.submodels[kind]
+        if rng is None:
+            values = _word_domain_values(word, by_lang)
+        else:
+            values = _gram_domain_values(word, rng, by_lang)
         if values is not None:
             return values
     return _last_resort_values(models)
@@ -323,8 +279,9 @@ def parse_heli_models(path: Path, header: dict, rows: list, n_fields: int) -> He
         )
     except (KeyError, ValueError) as exc:
         raise ModelIOError(f"{path}: bad or missing header: {exc}") from exc
-    ranges = {KIND_GRAM_ORIG: ("onr", config.onr), KIND_GRAM_LOWER: ("lnr", config.lnr)}
-    kinds = {kind: ranges.get(kind) for kind in config.enabled_kinds()}
+    kinds = {
+        kind: rng and ("lnr" if lower else "onr", rng) for kind, rng, lower in config._domains
+    }
     subs = _parse_rows(path, rows, n_fields, pm, kinds)
     return HeliModelSet(config=config, submodels=subs)
 

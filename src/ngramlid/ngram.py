@@ -18,7 +18,7 @@ of the same formula (totals of 1 also yields 0).
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -266,6 +266,37 @@ class ModelSet:
         return replace(self, models=models, penalty_modifier=pm)
 
 
+def _build(
+    train: Corpus, name: str, kinds: Iterable[str], pm: float, doc_items, concatenate: bool = False
+) -> dict[str, dict[str, NgramModel]]:
+    """Count items per (kind, language) over a labeled training corpus.
+
+    ``doc_items`` maps a normalized document to ``(kind, items, length)``
+    triples, folded as ``NgramModel.count_grams`` folds them; every model
+    is refreshed once at the end. Raises if the corpus is unlabeled, if a
+    label cannot be stored in a model file, or if a label's documents
+    normalize to zero words, since its models would be empty.
+    """
+    if not train.labeled:
+        raise ValueError(f"{name} requires a labeled corpus")
+    languages = sorted(train.label_set)
+    _check_labels(languages)
+    subs = {kind: {lang: NgramModel(lang, pm) for lang in languages} for kind in kinds}
+    words_seen: Counter = Counter()
+    for doc in train:
+        norm = normalize(doc.text, concatenate=concatenate)
+        words_seen[doc.label] += len(norm.words)
+        for kind, items, length in doc_items(norm):
+            subs[kind][doc.label].count_grams(items, length)
+    for lang in languages:
+        if not words_seen[lang]:
+            raise ValueError(f"language {lang!r}: no words after normalization")
+    for by_lang in subs.values():
+        for model in by_lang.values():
+            model.refresh()
+    return subs
+
+
 def build_models(
     train: Corpus,
     rng: NgramRange,
@@ -276,38 +307,17 @@ def build_models(
 ) -> ModelSet:
     """Accumulate per-language gram counts over a labeled training corpus.
 
-    Raises if any label's documents normalize to zero words, since the
-    resulting model would be empty, or if a label cannot be stored in a
-    model file.
+    Raises for an unlabeled corpus, a label a model file cannot store, a
+    language with no words, or a penalty modifier that is not positive
+    and finite.
     """
     _check_pm(pm)
-    if not train.labeled:
-        raise ValueError("build_models requires a labeled corpus")
-    _check_labels(train.label_set)
 
-    per_lang: dict[str, Counter] = defaultdict(Counter)
-    words_seen: dict[str, int] = defaultdict(int)
-    for doc in train:
-        norm = normalize(doc.text, concatenate=concatenate)
-        words_seen[doc.label] += len(norm.words)
-        per_lang[doc.label].update(extract_ngrams(norm, rng, lowercase, pad))
+    def doc_items(norm: NormalizedText) -> list:
+        return [(GRAMS, extract_ngrams(norm, rng, lowercase, pad), None)]
 
-    models = {}
-    for lang in sorted(per_lang):
-        if words_seen[lang] == 0:
-            raise ValueError(f"language {lang!r}: no words after normalization")
-        model = NgramModel(language=lang, penalty_modifier=pm)
-        model.count_grams(per_lang[lang])
-        model.refresh()
-        models[lang] = model
-    return ModelSet(
-        models=models,
-        range=rng,
-        penalty_modifier=pm,
-        lowercase=lowercase,
-        pad=pad,
-        concatenate=concatenate,
-    )
+    models = _build(train, "build_models", [GRAMS], pm, doc_items, concatenate)[GRAMS]
+    return ModelSet(models, rng, pm, lowercase, pad, concatenate)
 
 
 def add_document(model_set: ModelSet, doc: Document, language: str) -> ModelSet:
@@ -381,6 +391,8 @@ def _read_model_lines(path: Path) -> tuple[dict[str, str], list[list[str]], int]
     for lineno, line in enumerate(raw.split("\n")[:-1], start=1):
         if line.startswith("#"):
             key, _, value = line[1:].partition(" ")
+            if key in header:
+                raise ModelIOError(f"{path}: line {lineno}: repeated header #{key}")
             header[key] = value
         else:
             fields = line.split("\t")
@@ -407,14 +419,21 @@ def _parse_pm(path: Path, header: dict[str, str]) -> float:
     return pm
 
 
+def _is_canonical_int(s: str) -> bool:
+    """Whether ``s`` is an integer as the writer writes it: ASCII digits
+    with no sign, underscore, whitespace or leading zero."""
+    return s.isdigit() and s.isascii() and (s[0] != "0" or s == "0")
+
+
 def _parse_rows(path: Path, rows: list, n_fields: int, pm: float, kinds: dict) -> dict:
     """Count rows into one refreshed model per (kind, language).
 
     ``kinds`` maps each kind the header enables to ``(header name, gram
     range)``, or to None for a word kind, whose rows use length 0. Rows
     of kind ``GRAMS`` carry no kind column. Rows must be well formed,
-    unique and inside their kind's range, which is checked once per
-    (language, kind, length). Every language gets a model of every kind.
+    with canonical integers, unique and inside their kind's range; the
+    length and range are checked once per (language, kind, length) run.
+    Every language gets a model of every kind.
     """
     width = 4 if GRAMS in kinds else 5
     if rows and n_fields != width:
@@ -426,12 +445,11 @@ def _parse_rows(path: Path, rows: list, n_fields: int, pm: float, kinds: dict) -
             lang, length_s, item, count_s = fields
         else:
             lang, kind, length_s, item, count_s = fields
-        try:
-            length, count = int(length_s), int(count_s)
-        except ValueError as exc:
-            raise ModelIOError(f"{path}: non-integer length or count: {exc}") from exc
-        if (lang, kind, length) != key:
-            key = (lang, kind, length)
+        if (lang, kind, length_s) != key:
+            key = (lang, kind, length_s)
+            if not _is_canonical_int(length_s):
+                raise ModelIOError(f"{path}: bad length in row {fields!r}")
+            length = int(length_s)
             if kind not in kinds:
                 raise ModelIOError(f"{path}: row kind {kind!r} not enabled in header")
             if not lang:
@@ -447,11 +465,14 @@ def _parse_rows(path: Path, rows: list, n_fields: int, pm: float, kinds: dict) -
             if model is None:
                 model = subs[kind][lang] = NgramModel(language=lang, penalty_modifier=pm)
             by_item = model.counts.setdefault(length, {})
-        if count < 1 or length != (len(item) if spec else 0):
+        # _is_canonical_int and at least 1, inlined since it runs on every row
+        if not (count_s.isdigit() and count_s.isascii()) or count_s[0] == "0":
+            raise ModelIOError(f"{path}: bad count in row {fields!r}")
+        if length != (len(item) if spec else 0):
             raise ModelIOError(f"{path}: inconsistent row {fields!r}")
         if item in by_item:
             raise ModelIOError(f"{path}: duplicate row {fields!r}")
-        by_item[item] = count
+        by_item[item] = int(count_s)
     languages = sorted({lang for by_lang in subs.values() for lang in by_lang})
     if not languages:
         raise ModelIOError(f"{path}: model file holds no gram rows")

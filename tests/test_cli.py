@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +201,13 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bogus-command"])
     assert excinfo.value.code == 1
+    for jobs in ("0", "-3"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--train", "t.tsv", "--dev", "d.tsv", "--method", "nb",
+                  "--jobs", jobs, "--out", "s.tsv"])
+        assert excinfo.value.code == 1
+        assert "argument --jobs" in capsys.readouterr().err
 
 
 def test_data_error_exits_2(tmp_path, capsys):
@@ -233,10 +242,14 @@ def test_model_method_mismatch_exits_2(tmp_path, corpus_file):
 
 
 def test_console_entry_point(tmp_path):
+    # the child finds the package where this process imported it from
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "ngramlid.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "split" in result.stdout and "system1" in result.stdout
@@ -258,6 +271,33 @@ def test_label_a_model_file_cannot_store_exits_2(tmp_path, capsys, method, lines
     assert main(["train", "--in", str(corpus), "--method", method, "--model", str(model)]) == 2
     assert "label" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("method", ["nb", "heli"])
+def test_non_canonical_model_integers_or_repeated_header_exit_2(
+    tmp_path, corpus_file, capsys, method
+):
+    train, dev = _split(tmp_path, corpus_file)
+    model = tmp_path / "model.tsv"
+    assert main(["train", "--in", str(train), "--method", method, "--model", str(model)]) == 0
+    test_file = _strip_labels(tmp_path, dev)
+    identify = ["identify", "--model", str(model), "--in", str(test_file),
+                "--out", str(tmp_path / "p.tsv")]
+    lines = model.read_text(encoding="utf-8").split("\n")
+    last_row = lines[-2].split("\t")
+    spoiled = {
+        "count": last_row[:-1] + ["0" + last_row[-1]],
+        "length": last_row[:-3] + ["\u0660" if method == "heli" else "+" + last_row[-3]]
+        + last_row[-2:],
+    }
+    for what, row in spoiled.items():
+        model.write_text("\n".join(lines[:-2] + ["\t".join(row), ""]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(identify) == 2
+        assert f"bad {what} in row" in capsys.readouterr().err
+    model.write_text("\n".join(["#pm 2.15"] + lines), encoding="utf-8")
+    assert main(identify) == 2
+    assert "repeated header #pm" in capsys.readouterr().err
 
 
 def test_non_finite_penalty_modifier_or_threshold_exits_2(tmp_path, corpus_file, capsys):

@@ -14,6 +14,7 @@ from ngramlid import (
     sweep,
 )
 from ngramlid.corpus import Corpus, Document
+from ngramlid import evaluation
 from ngramlid.evaluation import SweepResult, SweepRow
 
 
@@ -221,6 +222,30 @@ def test_sweep_parallel_jobs_match_serial(tiny_task):
     assert serial == parallel
 
 
+def test_sweep_starts_at_most_one_worker_per_range(tiny_task, monkeypatch):
+    started = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+    train, dev = tiny_task
+    ranges = [NgramRange(1, 2), NgramRange(2, 3)]
+    pooled = sweep(train, dev, "nb", ranges, [2.0], jobs=1000)
+    assert pooled == sweep(train, dev, "nb", ranges, [2.0])
+    assert started == [2]
+
+
 def test_sweep_empty_grid_errors(tiny_task):
     train, dev = tiny_task
     with pytest.raises(ValueError):
@@ -229,6 +254,12 @@ def test_sweep_empty_grid_errors(tiny_task):
         sweep(train, dev, "nb", [NgramRange(1, 2)], [])
     with pytest.raises(ValueError, match="unknown method"):
         sweep(train, dev, "tfidf", [NgramRange(1, 2)], [2.0])
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            sweep(train, dev, "nb", [NgramRange(1, 2)], [2.0], jobs=jobs)
+    # the sweep builds with the default preprocessing; no caller set another
+    with pytest.raises(TypeError):
+        sweep(train, dev, "nb", [NgramRange(1, 2)], [2.0], lowercase=False)
 
 
 def test_sweep_tsv_format():

@@ -9,6 +9,7 @@ from ngramlid import (
     HeliConfig,
     ModelIOError,
     NgramRange,
+    build_models,
     heli_add_document,
     heli_build,
     heli_classify,
@@ -183,6 +184,8 @@ def test_build_rejects_wordless_language(make_corpus):
     config = HeliConfig(lnr=NgramRange(1, 2), onr=None, lw=True, ow=False, pm=1.0)
     with pytest.raises(ValueError, match="'B'"):
         heli_build(corpus, config)
+    with pytest.raises(ValueError, match="'B'"):
+        build_models(corpus, NgramRange(1, 2), pm=1.0)
 
 
 def test_add_document_matches_rebuild(make_corpus):
@@ -291,6 +294,32 @@ def test_load_rejects_duplicate_rows(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ModelIOError, match="duplicate row"):
+        load_heli_models(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["A\twordL\t00\tab\t1", "A\twordL\t0\tab\t\u0663", "A\twordL\t0\tab\t1_0",
+     "A\twordL\t+0\tab\t1", "A\twordL\t0\tab\t 3"],
+)
+def test_load_rejects_non_canonical_integers(tmp_path, row):
+    path = tmp_path / "heli.tsv"
+    path.write_text(
+        "#version 1\n#pm 1.0\n#log natural\n#lnr -\n#onr -\n#lw 1\n#ow 0\n" + row + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match="bad (length|count) in row"):
+        load_heli_models(path)
+
+
+def test_load_rejects_repeated_header(tmp_path):
+    path = tmp_path / "heli.tsv"
+    path.write_text(
+        "#version 1\n#pm 1.0\n#log natural\n#lnr -\n#onr -\n#lw 1\n#lw 0\n#ow 0\n"
+        "A\twordL\t0\tab\t1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match="repeated header #lw"):
         load_heli_models(path)
 
 

@@ -91,11 +91,17 @@ def test_build_models_rejects_wordless_language(make_corpus):
     corpus = make_corpus([("ok words", "A"), ("123 !!", "B")])
     with pytest.raises(ValueError, match="'B'"):
         build_models(corpus, NgramRange(1, 2), pm=1.0)
+    config = HeliConfig(lnr=NgramRange(1, 2), onr=None, lw=True, ow=False, pm=1.0)
+    with pytest.raises(ValueError, match="'B'"):
+        heli_build(corpus, config)
 
 
 def test_build_models_rejects_unlabeled(make_unlabeled):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="build_models requires a labeled corpus"):
         build_models(make_unlabeled(["a"]), NgramRange(1, 1), pm=1.0)
+    config = HeliConfig(lnr=NgramRange(1, 2), onr=None, lw=True, ow=False, pm=1.0)
+    with pytest.raises(ValueError, match="heli_build requires a labeled corpus"):
+        heli_build(make_unlabeled(["a"]), config)
 
 
 def test_build_models_rejects_bad_pm(make_corpus):
@@ -406,6 +412,28 @@ def test_load_rejects_duplicate_rows(tmp_path):
     path = tmp_path / "model.tsv"
     path.write_text("#version 1\n#range 2 2\n#pm 1.0\n#log natural\nA\t2\tab\t3\nA\t2\tab\t5\n")
     with pytest.raises(ModelIOError, match="duplicate row"):
+        load_models(path)
+
+
+@pytest.mark.parametrize(
+    "length, count",
+    [("\u0662", "1"), ("2", "1_0"), ("2", " 7"), ("2", "+7"), ("2", "07"), ("02", "1")],
+)
+def test_load_rejects_non_canonical_integers(tmp_path, length, count):
+    # int() reads all of these, but the writer never writes them
+    path = tmp_path / "model.tsv"
+    path.write_text(
+        f"#version 1\n#range 2 2\n#pm 1.0\n#log natural\nA\t{length}\tab\t{count}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match="bad (length|count) in row"):
+        load_models(path)
+
+
+def test_load_rejects_repeated_header(tmp_path):
+    path = tmp_path / "model.tsv"
+    path.write_text("#version 1\n#range 2 2\n#pm 2.0\n#pm 9.0\n#log natural\nA\t2\tab\t1\n")
+    with pytest.raises(ModelIOError, match="repeated header #pm"):
         load_models(path)
 
 
