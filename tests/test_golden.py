@@ -2,7 +2,8 @@
 
 A small synthetic corpus goes through the whole pipeline (model files of
 both kinds, ``identify`` for every method with and without adaptation,
-``system1`` and a small ``sweep``). Each output's digest is pinned, so a
+``system1`` and small sweeps: nb, nb with adaptation, heli, and sum_rf
+over overlapping ranges). Each output's digest is pinned, so a
 refactor or optimisation that claims bit-identical behaviour proves it
 here. A change that alters outputs on purpose must re-pin the digests and
 say why.
@@ -54,6 +55,9 @@ GOLDEN = {
     "system1": "c993d4e111d33999f12d44ade1a847eac65744d32922e4c26f134cc50beeeb04",
     "system1-trace": "7fc5a346a2bb3cfdc0dfddd8cb6928e655e3ab6d47ebfa6d965b4ee0c41a67cb",
     "sweep": "81a067ca4ee0bdb293d89b674d266223c024325c368defd1c6511f466cd8eb2d",
+    "sweep-nb-adapt": "104bb7b9beb24a04ebdb661f12c2958502720d3b19960baf178176ce3b83c1c0",
+    "sweep-heli": "b3d2600727e986667c03797f4f8f77cd776a4685f25a6296296f4dde067f0961",
+    "sweep-sumrf": "fbb0f141e6b96ce3c17d4bde6654e6714f33266e1fe800c475eacd77929e9f4a",
 }
 
 
@@ -93,9 +97,16 @@ def outputs(tmp_path_factory):
     files["system1-trace"] = d / "system1-trace.tsv"
     run("system1", "--train", train, "--test", test, "--out", files["system1"],
         "--trace", files["system1-trace"])
-    files["sweep"] = d / "sweep.tsv"
-    run("sweep", "--train", train, "--dev", dev, "--method", "nb",
-        "--ranges", "1-2,2-4", "--pms", "1.5,2.15", "--out", files["sweep"])
+    sweeps = {
+        "sweep": ("--method", "nb", "--ranges", "1-2,2-4", "--pms", "1.5,2.15"),
+        "sweep-nb-adapt": ("--method", "nb", "--ranges", "1-3,2-4", "--pms", "1.5,2.15",
+                           "--adapt-k", "2"),
+        "sweep-heli": ("--method", "heli", "--ranges", "1-2,2-4", "--pms", "1.5,2.15"),
+        "sweep-sumrf": ("--method", "sumrf", "--ranges", "1-3,2-4,3-5"),
+    }
+    for name, grid in sweeps.items():
+        files[name] = d / f"{name}.tsv"
+        run("sweep", "--train", train, "--dev", dev, *grid, "--out", files[name])
     return {
         name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()
     }
