@@ -55,16 +55,16 @@ class AdaptConfig:
 
 class _ScorerBackend:
     """Gram-model backend: caches each document's grams, grouped by length
-    once, and supports re-scoring a single language after its model
-    changed."""
+    once (or handed over already grouped), and supports re-scoring a
+    single language after its model changed."""
 
     partial = True
 
-    def __init__(self, model_set: ModelSet, method: str):
+    def __init__(self, model_set: ModelSet, method: str, grams: dict[int, GramGroups] | None):
         self.model_set = model_set
         self.method = method
         self.lower = lower_is_better(method)
-        self._grams: dict[int, GramGroups] = {}
+        self._grams = dict(grams or {})
 
     @property
     def languages(self) -> list[str]:
@@ -117,7 +117,7 @@ class _HeliBackend:
         return self.languages
 
 
-def _make_backend(model_set, method: str):
+def _make_backend(model_set, method: str, grams: dict[int, GramGroups] | None):
     if method == "heli":
         if not isinstance(model_set, HeliModelSet):
             raise ValueError("method 'heli' needs a HeliModelSet")
@@ -126,7 +126,7 @@ def _make_backend(model_set, method: str):
         raise ValueError(f"unknown method {method!r}; expected one of {ADAPT_METHODS}")
     if not isinstance(model_set, ModelSet):
         raise ValueError(f"method {method!r} needs a ModelSet")
-    return _ScorerBackend(model_set, method)
+    return _ScorerBackend(model_set, method, grams)
 
 
 def adaptive_identify(
@@ -136,6 +136,7 @@ def adaptive_identify(
     config: AdaptConfig,
     trace_path: str | Path | None = None,
     incremental: bool = True,
+    grams: dict[int, GramGroups] | None = None,
 ) -> list[Prediction]:
     """Identify every document of ``test``, adapting models along the way.
 
@@ -148,8 +149,14 @@ def adaptive_identify(
     only against languages whose model changed since it was last
     scored; the flag never changes any output, only how much work each
     round does.
+
+    For the gram methods, ``grams`` maps a document id to that document's
+    grouped grams under the model set's options, for callers that
+    extracted them already (a sweep slices one extraction per document);
+    any other document is extracted as usual. Adaptation folds them into
+    the models, so they must equal what ``ModelSet.doc_grams`` gives.
     """
-    backend = _make_backend(model_set, method)
+    backend = _make_backend(model_set, method, grams)
     languages = backend.languages
     if not languages:
         raise ValueError("model set has no languages")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .adaptation import AdaptConfig, adaptive_identify
 from .corpus import Corpus
 from .heli import HeliConfig, heli_build
-from .ngram import NgramRange, build_models
+from .ngram import GramGroups, NgramRange, build_models
 from .scorers import Prediction
 
 SWEEP_METHODS = ("simple", "sum_rf", "nb", "heli")
@@ -136,20 +136,32 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _run_range(args) -> list[SweepRow]:
-    train, dev, method, rng, pms, adapt = args
-    rows = []
+def _sweep_ranges(args) -> list[SweepRow]:
+    """Every (range, pm) cell of a group of ranges, in one pass.
+
+    The models are built once over the group's union range, and each dev
+    document's grams are extracted once over it. Counts, totals and
+    penalties are all per gram length, so each cell scores the length
+    slices of both, which equal a build and an extraction over the cell's
+    range alone.
+    """
+    train, dev, method, ranges, pms, adapt = args
+    union = NgramRange(min(r.min_n for r in ranges), max(r.max_n for r in ranges))
     if method == "heli":
-        base = heli_build(
-            train, HeliConfig(lnr=rng, onr=rng, lw=True, ow=True, pm=pms[0])
-        )
+        base = heli_build(train, HeliConfig(lnr=union, onr=union, lw=True, ow=True, pm=pms[0]))
+        dev_grams = None
     else:
-        base = build_models(train, rng, pms[0])
-    for pm in pms:
-        models = base.with_pm(pm, copy_counts=adapt is not None)
-        preds = adaptive_identify(dev, models, method, adapt or AdaptConfig(epochs=0))
-        report = evaluate(preds, dev)
-        rows.append(SweepRow(method, rng, pm, report.macro_f1, report.micro_f1))
+        base = build_models(train, union, pms[0])
+        dev_grams = {doc.id: GramGroups(base.doc_grams(doc)) for doc in dev}
+    config = adapt or AdaptConfig(epochs=0)
+    rows = []
+    for rng in ranges:
+        grams = dev_grams and {doc_id: g.sliced(rng) for doc_id, g in dev_grams.items()}
+        for pm in pms:
+            models = base.with_pm(pm, copy_counts=adapt is not None, rng=rng)
+            preds = adaptive_identify(dev, models, method, config, grams=grams)
+            report = evaluate(preds, dev)
+            rows.append(SweepRow(method, rng, pm, report.macro_f1, report.micro_f1))
     return rows
 
 
@@ -164,12 +176,15 @@ def sweep(
 ) -> SweepResult:
     """Evaluate every (range, pm) grid cell on the dev split.
 
-    Models are rebuilt once per range and re-penalized per pm. The
-    penalty grid is ignored for the two methods that never smooth.
-    Rows come back sorted by macro F1 descending, ties by
+    Models are built once, over the union of the grid's ranges, and
+    sliced and re-penalized per cell; each dev document is extracted
+    once. The penalty grid is ignored for the two methods that never
+    smooth. Rows come back sorted by macro F1 descending, ties by
     (range.min_n, range.max_n, pm) ascending; repeated runs produce
-    identical output. ``jobs`` worker processes (at least 1) build the
-    ranges.
+    identical output. With ``jobs`` (at least 1) above 1, the sorted
+    ranges are split into ``min(jobs, ranges)`` contiguous groups, each
+    swept the same way in its own worker process; the output does not
+    depend on ``jobs``.
     """
     if method not in SWEEP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {SWEEP_METHODS}")
@@ -185,16 +200,16 @@ def sweep(
     else:
         pm_list = [1.0]
 
-    tasks = [(train, dev, method, rng, pm_list, adapt) for rng in range_list]
-    rows: list[SweepRow] = []
-    if jobs > 1:
-        # a fork-started pool starts all its workers at once; one per range suffices
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for chunk in pool.map(_run_range, tasks):
-                rows.extend(chunk)
+    n, n_groups = len(range_list), min(jobs, len(range_list))
+    groups = [range_list[i * n // n_groups : (i + 1) * n // n_groups] for i in range(n_groups)]
+    tasks = [(train, dev, method, group, pm_list, adapt) for group in groups]
+    if len(tasks) > 1:
+        # a fork-started pool starts all its workers at once; one per group
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            chunks = list(pool.map(_sweep_ranges, tasks))
     else:
-        for task in tasks:
-            rows.extend(_run_range(task))
+        chunks = [_sweep_ranges(tasks[0])]
 
+    rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (-r.macro_f1, r.range.min_n, r.range.max_n, r.pm))
     return SweepResult(rows=tuple(rows))

@@ -33,7 +33,10 @@ from .ngram import (
     NgramRange,
     _build,
     _check_pm,
+    _check_within,
+    _parse_flag,
     _parse_pm,
+    _parse_range_header,
     _parse_rows,
     _read_model_lines,
     _write_model_file,
@@ -84,11 +87,27 @@ class HeliModelSet:
     def languages(self) -> list[str]:
         return sorted(self.submodels[self.config._domains[0][0]])
 
-    def with_pm(self, pm: float, copy_counts: bool = False) -> "HeliModelSet":
-        """Clone with a different penalty modifier, as ``ModelSet.with_pm``."""
+    def with_pm(
+        self, pm: float, copy_counts: bool = False, rng: NgramRange | None = None
+    ) -> "HeliModelSet":
+        """Clone with a different penalty modifier, as ``ModelSet.with_pm``;
+        ``rng`` narrows every gram domain to its lengths.
+
+        The slice equals a build over ``rng``: word sub-models do not
+        depend on the range, and scoring reads gram counts and penalties
+        only at lengths inside it.
+        """
         config = replace(self.config, pm=pm)
+        gram_kinds = {kind: outer for kind, outer, _ in config._domains if outer}
+        if rng is not None:
+            for outer in gram_kinds.values():
+                _check_within(rng, outer)
+            config = replace(config, lnr=config.lnr and rng, onr=config.onr and rng)
         subs = {
-            kind: {lang: m.clone(pm, copy_counts) for lang, m in by_lang.items()}
+            kind: {
+                lang: m.clone(pm, copy_counts, rng if kind in gram_kinds else None)
+                for lang, m in by_lang.items()
+            }
             for kind, by_lang in self.submodels.items()
         }
         return HeliModelSet(config=config, submodels=subs)
@@ -240,11 +259,8 @@ def _range_header(rng: NgramRange | None) -> str:
     return f"{rng.min_n} {rng.max_n}" if rng else "-"
 
 
-def _parse_range_header(value: str) -> NgramRange | None:
-    if value == "-":
-        return None
-    lo, hi = value.split()
-    return NgramRange(int(lo), int(hi))
+def _parse_domain_range(value: str) -> NgramRange | None:
+    return None if value == "-" else _parse_range_header(value)
 
 
 def save_heli_models(models: HeliModelSet, path: str | Path) -> None:
@@ -271,10 +287,10 @@ def parse_heli_models(path: Path, header: dict, rows: list, n_fields: int) -> He
     pm = _parse_pm(path, header)
     try:
         config = HeliConfig(
-            lnr=_parse_range_header(header["lnr"]),
-            onr=_parse_range_header(header["onr"]),
-            lw=bool(int(header["lw"])),
-            ow=bool(int(header["ow"])),
+            lnr=_parse_domain_range(header["lnr"]),
+            onr=_parse_domain_range(header["onr"]),
+            lw=_parse_flag(header["lw"]),
+            ow=_parse_flag(header["ow"]),
             pm=pm,
         )
     except (KeyError, ValueError) as exc:

@@ -56,6 +56,11 @@ def _check_labels(labels: Iterable[str]) -> None:
             )
 
 
+def _check_within(rng: NgramRange, outer: NgramRange) -> None:
+    if not (outer.holds(rng.min_n) and outer.holds(rng.max_n)):
+        raise ValueError(f"range {rng} is not inside the models' range {outer}")
+
+
 def _penalty(pm: float, total: int) -> float:
     return pm * math.log(total) if total > 0 else 0.0
 
@@ -84,6 +89,9 @@ class NgramRange:
     def __str__(self) -> str:
         return f"{self.min_n}-{self.max_n}"
 
+    def holds(self, length: int) -> bool:
+        return self.min_n <= length <= self.max_n
+
     @classmethod
     def parse(cls, spec: str) -> "NgramRange":
         """Parse ``"2-6"`` (or a bare ``"3"`` meaning 3-3)."""
@@ -109,13 +117,13 @@ def extract_ngrams(
     of length n.
     """
     words = norm.lowercased if lowercase else norm.words
-    grams: Counter = Counter()
+    grams: list[str] = []
     for w in words:
         s = f" {w} " if pad else w
         ls = len(s)
         for n in range(rng.min_n, min(rng.max_n, ls) + 1):
-            grams.update([s[i : i + n] for i in range(ls - n + 1)])
-    return grams
+            grams += [s[i : i + n] for i in range(ls - n + 1)]
+    return Counter(grams)
 
 
 class GramGroups:
@@ -145,6 +153,18 @@ class GramGroups:
 
     def __len__(self) -> int:
         return self.size
+
+    def sliced(self, rng: NgramRange) -> "GramGroups":
+        """The groups of the lengths in ``rng``, sharing this one's pairs.
+
+        Every length is extracted on its own, so the slice equals the
+        grouped grams of an extraction over ``rng`` alone; its ``len()``
+        is its own number of distinct grams.
+        """
+        part = object.__new__(GramGroups)
+        part.groups = [(n, pairs) for n, pairs in self.groups if rng.holds(n)]
+        part.size = sum(len(pairs) for _, pairs in part.groups)
+        return part
 
 
 def group_by_length(grams: "Counter | GramGroups") -> list:
@@ -205,13 +225,21 @@ class NgramModel:
         pm = self.penalty_modifier
         self.penalties = {n: _penalty(pm, t) for n, t in self.totals.items()}
 
-    def clone(self, pm: float, copy_counts: bool = False) -> "NgramModel":
-        """The same counts under penalty modifier ``pm``; the counts are
-        shared unless ``copy_counts`` is set."""
-        counts = {n: dict(d) for n, d in self.counts.items()} if copy_counts else self.counts
-        clone = NgramModel(language=self.language, penalty_modifier=pm, counts=counts)
-        clone.refresh()
-        return clone
+    def clone(
+        self, pm: float, copy_counts: bool = False, rng: NgramRange | None = None
+    ) -> "NgramModel":
+        """The counts of the lengths in ``rng`` (of every length when it is
+        None) under penalty modifier ``pm``.
+
+        Each length's counts are shared unless ``copy_counts`` is set, and
+        then only the kept lengths are copied. Totals carry over, as they
+        agree with the counts; penalties are recomputed for ``pm``.
+        """
+        kept = [n for n in self.counts if rng is None or rng.holds(n)]
+        counts = {n: dict(self.counts[n]) if copy_counts else self.counts[n] for n in kept}
+        totals = {n: self.totals[n] for n in kept}
+        penalties = {n: _penalty(pm, t) for n, t in totals.items()}
+        return NgramModel(self.language, pm, counts, totals, penalties)
 
     def penalty(self, length: int) -> float:
         return self.penalties.get(length, 0.0)
@@ -255,15 +283,22 @@ class ModelSet:
         norm = normalize(doc.text, concatenate=self.concatenate)
         return extract_ngrams(norm, self.range, self.lowercase, self.pad)
 
-    def with_pm(self, pm: float, copy_counts: bool = False) -> "ModelSet":
-        """Clone with a different penalty modifier.
+    def with_pm(
+        self, pm: float, copy_counts: bool = False, rng: NgramRange | None = None
+    ) -> "ModelSet":
+        """Clone with a different penalty modifier, narrowed to the gram
+        lengths of ``rng`` when it is given.
 
-        Counts are shared unless ``copy_counts`` is set; callers that go
-        on to mutate the clone (adaptation) must request copies.
+        Counts, totals and penalties are all per length, so the slice of a
+        model set over ``rng`` equals a build over ``rng`` alone. Counts
+        are shared unless ``copy_counts`` is set; callers that go on to
+        mutate the clone (adaptation) must request copies.
         """
         _check_pm(pm)
-        models = {lang: m.clone(pm, copy_counts) for lang, m in self.models.items()}
-        return replace(self, models=models, penalty_modifier=pm)
+        if rng is not None:
+            _check_within(rng, self.range)
+        models = {lang: m.clone(pm, copy_counts, rng) for lang, m in self.models.items()}
+        return replace(self, models=models, range=rng or self.range, penalty_modifier=pm)
 
 
 def _build(
@@ -425,6 +460,20 @@ def _is_canonical_int(s: str) -> bool:
     return s.isdigit() and s.isascii() and (s[0] != "0" or s == "0")
 
 
+def _parse_range_header(value: str) -> NgramRange:
+    """A range header's ``min max``, as the writer writes it."""
+    bounds = value.split(" ")
+    if len(bounds) != 2 or not all(_is_canonical_int(b) for b in bounds):
+        raise ValueError(f"bad range {value!r}")
+    return NgramRange(int(bounds[0]), int(bounds[1]))
+
+
+def _parse_flag(value: str) -> bool:
+    if value not in ("0", "1"):
+        raise ValueError(f"bad flag {value!r}: expected 0 or 1")
+    return value == "1"
+
+
 def _parse_rows(path: Path, rows: list, n_fields: int, pm: float, kinds: dict) -> dict:
     """Count rows into one refreshed model per (kind, language).
 
@@ -494,10 +543,9 @@ def parse_models(path: Path, header: dict, rows: list, n_fields: int) -> ModelSe
     """Build a model set from a file split by ``_read_model_lines``."""
     pm = _parse_pm(path, header)
     try:
-        lo, hi = header["range"].split()
-        rng = NgramRange(int(lo), int(hi))
+        rng = _parse_range_header(header["range"])
         lowercase, pad, concat = (
-            bool(int(header.get(key, default)))
+            _parse_flag(header.get(key, default))
             for key, default in (("lowercase", "1"), ("pad", "1"), ("concat", "0"))
         )
     except (KeyError, ValueError) as exc:

@@ -298,6 +298,16 @@ def test_non_canonical_model_integers_or_repeated_header_exit_2(
     model.write_text("\n".join(["#pm 2.15"] + lines), encoding="utf-8")
     assert main(identify) == 2
     assert "repeated header #pm" in capsys.readouterr().err
+    # headers the writer never writes: a zero-padded range bound, a flag of 7
+    keys = ("#range ", "#lowercase ") if method == "nb" else ("#lnr ", "#lw ")
+    for key, value in zip(keys, ("0{}", "7")):
+        spoiled_lines = [
+            key + value.format(line[len(key):]) if line.startswith(key) else line
+            for line in lines
+        ]
+        model.write_text("\n".join(spoiled_lines), encoding="utf-8")
+        assert main(identify) == 2
+        assert "bad or missing header" in capsys.readouterr().err
 
 
 def test_non_finite_penalty_modifier_or_threshold_exits_2(tmp_path, corpus_file, capsys):

@@ -1,21 +1,26 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 
 from ngramlid import (
     AdaptConfig,
+    HeliConfig,
     NgramRange,
     Prediction,
+    adaptive_identify,
     build_models,
     classify,
     evaluate,
+    heli_build,
     sweep,
 )
-from ngramlid.corpus import Corpus, Document
+from ngramlid.corpus import Corpus, Document, ordered_split
 from ngramlid import evaluation
-from ngramlid.evaluation import SweepResult, SweepRow
+from ngramlid.evaluation import SWEEP_METHODS, SweepResult, SweepRow
+from ngramlid.synth import generate, spec_from_dict
 
 
 def _preds(labels, ids=None):
@@ -214,18 +219,97 @@ def test_sweep_heli_method(tiny_task):
     assert all(row.method == "heli" for row in result.rows)
 
 
-def test_sweep_parallel_jobs_match_serial(tiny_task):
-    train, dev = tiny_task
-    ranges = [NgramRange(1, 2), NgramRange(2, 3)]
-    serial = sweep(train, dev, "nb", ranges, [2.0], jobs=1)
-    parallel = sweep(train, dev, "nb", ranges, [2.0], jobs=2)
-    assert serial == parallel
+@pytest.fixture(scope="module")
+def synth_task():
+    spec = spec_from_dict({
+        "seed": 7,
+        "lines_per_language": 16,
+        "words_per_line": 3,
+        "mixing_rate": 0.35,
+        "shared": {"inventory": "etaoins", "word_lengths": [2, 3, 5, 7]},
+        "languages": [
+            {"code": "kan", "inventory": "abcdefgh"},
+            {"code": "mal", "inventory": "cdefghij"},
+            {"code": "tam", "inventory": "efghijkl"},
+        ],
+    })
+    return ordered_split(generate(spec), 0.7)
+
+
+GRID = [NgramRange(1, 2), NgramRange(2, 4), NgramRange(3, 6), NgramRange(5, 6)]
+
+
+def _reference_sweep(train, dev, method, ranges, pms, adapt):
+    """One build per cell, the way a user would evaluate each cell alone."""
+    rows = []
+    for rng in ranges:
+        for pm in pms if method in ("nb", "heli") else [1.0]:
+            if method == "heli":
+                models = heli_build(train, HeliConfig(lnr=rng, onr=rng, lw=True, ow=True, pm=pm))
+            else:
+                models = build_models(train, rng, pm)
+            preds = adaptive_identify(dev, models, method, adapt or AdaptConfig(epochs=0))
+            report = evaluate(preds, dev)
+            rows.append(SweepRow(method, rng, pm, report.macro_f1, report.micro_f1))
+    rows.sort(key=lambda r: (-r.macro_f1, r.range.min_n, r.range.max_n, r.pm))
+    return SweepResult(rows=tuple(rows))
+
+
+@pytest.mark.parametrize("adapt", [None, AdaptConfig(k=3)], ids=["plain", "adapt"])
+@pytest.mark.parametrize("method", SWEEP_METHODS)
+def test_sweep_equals_per_range_builds(synth_task, method, adapt):
+    train, dev = synth_task
+    pms = [1.2, 2.15]
+    result = sweep(train, dev, method, GRID, pms, adapt=adapt)
+    assert result == _reference_sweep(train, dev, method, GRID, pms, adapt)
+    assert len({row.macro_f1 for row in result.rows}) > 1  # the grid discriminates
+
+
+def _capture_builds(monkeypatch):
+    """Record every model set the sweep builds, with a deep copy taken
+    before any cell used it."""
+    built = []
+
+    def capture(build):
+        def wrapped(*args, **kwargs):
+            models = build(*args, **kwargs)
+            built.append((models, copy.deepcopy(models)))
+            return models
+
+        return wrapped
+
+    monkeypatch.setattr(evaluation, "build_models", capture(build_models))
+    monkeypatch.setattr(evaluation, "heli_build", capture(heli_build))
+    return built
+
+
+@pytest.mark.parametrize("method", ["nb", "heli"])
+def test_adaptation_sweep_leaves_the_shared_build_unchanged(synth_task, monkeypatch, method):
+    train, dev = synth_task
+    built = _capture_builds(monkeypatch)
+    sweep(train, dev, method, GRID, [1.5, 2.15], adapt=AdaptConfig(k=2))
+    assert len(built) == 1  # one build over the union range 1-6
+    models, before = built[0]
+    for kind, by_lang in before.submodels.items():
+        for lang, model in by_lang.items():
+            after = models.submodels[kind][lang]
+            assert after.counts == model.counts
+            assert after.totals == model.totals
+            assert after.penalties == model.penalties
+
+
+def test_sweep_parallel_jobs_match_serial(synth_task):
+    train, dev = synth_task
+    for method, adapt in (("nb", None), ("heli", None), ("nb", AdaptConfig(k=2))):
+        serial = sweep(train, dev, method, GRID, [1.5, 2.0], adapt=adapt, jobs=1)
+        parallel = sweep(train, dev, method, GRID, [1.5, 2.0], adapt=adapt, jobs=2)
+        assert serial == parallel
 
 
 def test_sweep_starts_at_most_one_worker_per_range(tiny_task, monkeypatch):
-    started = []
+    started, grouped = [], []
 
-    class SerialPool:  # records the pool size and starts no process
+    class SerialPool:  # records the pool size and its range groups; starts no process
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -236,14 +320,24 @@ def test_sweep_starts_at_most_one_worker_per_range(tiny_task, monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            tasks = list(tasks)
+            grouped.append([task[3] for task in tasks])
             return map(fn, tasks)
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
     train, dev = tiny_task
-    ranges = [NgramRange(1, 2), NgramRange(2, 3)]
-    pooled = sweep(train, dev, "nb", ranges, [2.0], jobs=1000)
-    assert pooled == sweep(train, dev, "nb", ranges, [2.0])
-    assert started == [2]
+    r12, r23, r34 = NgramRange(1, 2), NgramRange(2, 3), NgramRange(3, 4)
+    built = _capture_builds(monkeypatch)
+    pooled = sweep(train, dev, "nb", [r23, r12], [2.0], jobs=1000)
+    assert started == [2] and grouped == [[[r12], [r23]]]
+    assert pooled == sweep(train, dev, "nb", [r12, r23], [2.0])
+    assert started == [2]  # one job runs in this process
+    # fewer jobs than ranges: contiguous groups, one build each
+    del built[:]
+    pooled = sweep(train, dev, "nb", [r12, r23, r34], [2.0], jobs=2)
+    assert started == [2, 2] and grouped[-1] == [[r12], [r23, r34]]
+    assert [models.range for models, _ in built] == [r12, NgramRange(2, 4)]
+    assert pooled == sweep(train, dev, "nb", [r12, r23, r34], [2.0])
 
 
 def test_sweep_empty_grid_errors(tiny_task):

@@ -333,3 +333,20 @@ def test_load_rejects_bad_pm_header(tmp_path, pm):
     )
     with pytest.raises(ModelIOError, match="penalty modifier must be positive"):
         load_heli_models(path)
+
+
+@pytest.mark.parametrize(
+    "header", ["#lnr 02 3", "#lnr 2  3", "#onr 2 +3", "#lw 5", "#ow 2", "#ow -0"]
+)
+def test_load_rejects_non_canonical_headers(tmp_path, header):
+    # int() reads all of these, but the writer never writes them
+    headers = {"lnr": "#lnr 2 3", "onr": "#onr 2 3", "lw": "#lw 1", "ow": "#ow 1"}
+    headers[header.split(" ")[0][1:]] = header
+    path = tmp_path / "heli.tsv"
+    path.write_text(
+        "#version 1\n#pm 1.0\n#log natural\n" + "\n".join(headers.values())
+        + "\nA\tgramL\t2\tab\t1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match="bad or missing header"):
+        load_heli_models(path)

@@ -451,3 +451,122 @@ def test_load_rejects_empty_language_field(tmp_path):
     path.write_text("#version 1\n#range 1 2\n#pm 1.0\n#log natural\n\t1\ta\t1\n")
     with pytest.raises(ModelIOError, match="empty language"):
         load_models(path)
+
+
+def _reference_extract(norm, rng):
+    # one Counter.update per word and length, as extraction used to run
+    grams = Counter()
+    for w in norm.lowercased:
+        s = f" {w} "
+        for n in range(rng.min_n, min(rng.max_n, len(s)) + 1):
+            grams.update([s[i : i + n] for i in range(len(s) - n + 1)])
+    return grams
+
+
+def test_extract_keeps_gram_order():
+    rnd = random.Random(23)
+    for _ in range(100):
+        text = " ".join(
+            "".join(rnd.choice("abcAB") for _ in range(rnd.randint(1, 9)))
+            for _ in range(rnd.randint(0, 6))
+        )
+        rng = NgramRange(rnd.randint(1, 4), rnd.randint(4, 9))
+        norm = normalize(text)
+        assert list(extract_ngrams(norm, rng).items()) == list(
+            _reference_extract(norm, rng).items()
+        )
+
+
+def _slice_corpus():
+    from ngramlid.corpus import ordered_split
+    from ngramlid.synth import generate, spec_from_dict
+
+    spec = spec_from_dict({
+        "seed": 5,
+        "lines_per_language": 12,
+        "words_per_line": 4,
+        "mixing_rate": 0.2,
+        "shared": {"inventory": "etaoin", "word_lengths": [2, 4, 7, 9]},
+        "languages": [
+            {"code": "xa", "inventory": "abcdefgh"},
+            {"code": "xb", "inventory": "defghijk"},
+        ],
+    })
+    return ordered_split(generate(spec), 0.75)
+
+
+ALL_RANGES = [NgramRange(lo, hi) for lo in range(1, 9) for hi in range(lo, 9)]
+
+
+@pytest.mark.parametrize("kind", ["nb", "heli"])
+def test_slice_of_union_build_equals_direct_build(tmp_path, kind):
+    train, _ = _slice_corpus()
+    union = NgramRange(1, 8)
+
+    def build(rng, pm):
+        if kind == "heli":
+            return heli_build(train, HeliConfig(lnr=rng, onr=rng, lw=True, ow=True, pm=pm))
+        return build_models(train, rng, pm)
+
+    save = save_heli_models if kind == "heli" else save_models
+    base = build(union, 1.5)
+    assert max(base.submodels["gramL" if kind == "heli" else "gram"]["xa"].counts) == 8
+    for rng in ALL_RANGES:
+        sliced, direct = base.with_pm(2.15, rng=rng), build(rng, 2.15)
+        for sub_kind, by_lang in direct.submodels.items():
+            for lang, model in by_lang.items():
+                got = sliced.submodels[sub_kind][lang]
+                assert got.counts == model.counts
+                assert got.totals == model.totals
+                assert got.penalties == model.penalties
+        save(sliced, tmp_path / "sliced.tsv")
+        save(direct, tmp_path / "direct.tsv")
+        assert (tmp_path / "sliced.tsv").read_bytes() == (tmp_path / "direct.tsv").read_bytes()
+
+
+def test_slice_shares_counts_unless_copied(make_corpus):
+    base = build_models(make_corpus([("abc abd", "A"), ("bcd", "B")]), NgramRange(1, 4), 2.0)
+    rng = NgramRange(2, 3)
+    shared = base.with_pm(1.5, rng=rng)
+    copied = base.with_pm(1.5, copy_counts=True, rng=rng)
+    for lang, model in base.models.items():
+        assert set(shared.models[lang].counts) == set(copied.models[lang].counts) == {2, 3}
+        for n in (2, 3):
+            assert shared.models[lang].counts[n] is model.counts[n]
+            assert copied.models[lang].counts[n] is not model.counts[n]
+            assert copied.models[lang].counts[n] == model.counts[n]
+    with pytest.raises(ValueError, match="not inside"):
+        base.with_pm(1.5, rng=NgramRange(3, 5))
+
+
+def test_gram_groups_slice_equals_direct_extraction():
+    rnd = random.Random(24)
+    for _ in range(50):
+        text = " ".join(
+            "".join(rnd.choice("abcde") for _ in range(rnd.randint(1, 9))) for _ in range(4)
+        )
+        union = GramGroups(extract_ngrams(normalize(text), NgramRange(1, 8)))
+        rng = NgramRange(rnd.randint(1, 5), rnd.randint(5, 8))
+        direct = extract_ngrams(normalize(text), rng)
+        part = union.sliced(rng)
+        assert len(part) == len(direct)
+        assert {n: dict(pairs) for n, pairs in part.groups} == {
+            n: dict(pairs) for n, pairs in GramGroups(direct).groups
+        }
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["#range 02 3", "#range 2 +3", "#range 2  3", "#lowercase 7", "#pad 2", "#concat -0"],
+)
+def test_load_rejects_non_canonical_headers(tmp_path, header):
+    # int() reads all of these, but the writer never writes them
+    headers = {"range": "#range 2 3", "lowercase": "#lowercase 1"}
+    headers[header.split(" ")[0][1:]] = header
+    path = tmp_path / "model.tsv"
+    path.write_text(
+        "#version 1\n#pm 1.0\n#log natural\n" + "\n".join(headers.values()) + "\nA\t2\tab\t1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match="bad or missing header"):
+        load_models(path)
