@@ -156,7 +156,7 @@ def _sweep_ranges(args) -> list[SweepRow]:
     config = adapt or AdaptConfig(epochs=0)
     rows = []
     for rng in ranges:
-        grams = dev_grams and {doc_id: g.sliced(rng) for doc_id, g in dev_grams.items()}
+        grams = None if dev_grams is None else {i: g.sliced(rng) for i, g in dev_grams.items()}
         for pm in pms:
             models = base.with_pm(pm, copy_counts=adapt is not None, rng=rng)
             preds = adaptive_identify(dev, models, method, config, grams=grams)

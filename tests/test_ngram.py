@@ -23,8 +23,9 @@ from ngramlid import (
     save_heli_models,
     save_models,
 )
-from ngramlid.corpus import Document
+from ngramlid.corpus import Document, ordered_split
 from ngramlid.ngram import GramGroups
+from ngramlid.synth import generate, spec_from_dict
 
 
 def test_extract_two_gram_padding():
@@ -478,9 +479,6 @@ def test_extract_keeps_gram_order():
 
 
 def _slice_corpus():
-    from ngramlid.corpus import ordered_split
-    from ngramlid.synth import generate, spec_from_dict
-
     spec = spec_from_dict({
         "seed": 5,
         "lines_per_language": 12,
