@@ -3,7 +3,10 @@
 A small synthetic corpus goes through the whole pipeline (model files of
 both kinds, ``identify`` for every method with and without adaptation,
 ``system1`` and small sweeps: nb, nb with adaptation, heli, and sum_rf
-over overlapping ranges). Each output's digest is pinned, so a
+over overlapping ranges). A second, mixed-case non-ASCII corpus goes
+through heli, where the original-cased domains (wordO, gramO) differ
+from the lowercased ones; every other corpus is lowercase ASCII, on
+which they coincide. Each output's digest is pinned, so a
 refactor or optimisation that claims bit-identical behaviour proves it
 here. A change that alters outputs on purpose must re-pin the digests and
 say why.
@@ -28,6 +31,21 @@ SPEC = {
         {"code": "kan", "inventory": "abcdefgh"},
         {"code": "mal", "inventory": "cdefghij"},
         {"code": "tam", "inventory": "efghijkl"},
+    ],
+}
+
+# Greek final sigma, Turkish dotted/dotless I ("İ" lowercases to two
+# characters) and German sharp s, with both casings in every inventory.
+CASING_SPEC = {
+    "seed": 5,
+    "lines_per_language": 40,
+    "words_per_line": 6,
+    "mixing_rate": 0.3,
+    "shared": {"inventory": "EtaOinSé", "word_lengths": [2, 3, 4]},
+    "languages": [
+        {"code": "deu", "inventory": "aÄäbBßüÜn"},
+        {"code": "tur", "inventory": "ıIİiğĞşŞn"},
+        {"code": "ell", "inventory": "ΣσΩωαΑΟοn"},
     ],
 }
 
@@ -60,29 +78,48 @@ GOLDEN = {
     "sweep-sumrf": "fbb0f141e6b96ce3c17d4bde6654e6714f33266e1fe800c475eacd77929e9f4a",
 }
 
+CASING_GOLDEN = {
+    "model-heli": "9316411521f1522e694a888796fa23ef8b195ec0123da638ac18dc4ac1c5bd78",
+    "identify-heli": "236cf1dbf59de88b1a5e17cd4cd245851b92ab4ac77cc18e30bc7a1986c64f97",
+    "identify-heli-trace": "5c343866ed6abaa89cd2d6a7901fec0521ee94a9b434cabd87a7696283e08d66",
+    "identify-heli-adapt": "2dcff442d8abe2a500c26f5d873cb1fa31e9a6b8662297029d77b4c8ccfb53e9",
+    "identify-heli-adapt-trace": "f48227c77a1f9da3543d39b8616244ef5b17c16d16cd8bf99541c10f0bfc37e4",
+}
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    d = tmp_path_factory.mktemp("golden")
-    spec = d / "spec.json"
-    spec.write_text(json.dumps(SPEC), encoding="utf-8")
+
+def _run(*argv):
+    assert main([str(a) for a in argv]) == 0, argv
+
+
+def _corpus(d, spec):
+    """Synthesize ``spec`` and split it; returns train, dev and the dev
+    texts as an unlabeled test file."""
+    spec_path = d / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
     corpus, train, dev, test = (d / n for n in ("corpus.tsv", "train.tsv", "dev.tsv", "test.txt"))
-
-    def run(*argv):
-        assert main([str(a) for a in argv]) == 0, argv
-
-    run("synth", "--spec", spec, "--out", corpus)
-    run("split", "--in", corpus, "--fraction", "0.8", "--train", train, "--dev", dev)
+    _run("synth", "--spec", spec_path, "--out", corpus)
+    _run("split", "--in", corpus, "--fraction", "0.8", "--train", train, "--dev", dev)
     test.write_text(
         "".join(line.split("\t")[0] + "\n" for line in dev.read_text("utf-8").splitlines()),
         encoding="utf-8",
     )
+    return train, dev, test
+
+
+def _digests(files):
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    train, dev, test = _corpus(d, SPEC)
     files = {}
     files["model-nb"] = d / "nb.tsv"
-    run("train", "--in", train, "--min-n", "1", "--max-n", "4", "--pm", "2.0",
+    _run("train", "--in", train, "--min-n", "1", "--max-n", "4", "--pm", "2.0",
         "--model", files["model-nb"])
     files["model-heli"] = d / "heli.tsv"
-    run("train", "--in", train, "--method", "heli", "--lnr", "2-5", "--onr", "1-3",
+    _run("train", "--in", train, "--method", "heli", "--lnr", "2-5", "--onr", "1-3",
         "--pm", "2.15", "--model", files["model-heli"])
     for method in ("nb", "simple", "sumrf", "heli"):
         model = files["model-heli" if method == "heli" else "model-nb"]
@@ -90,12 +127,12 @@ def outputs(tmp_path_factory):
             name = f"identify-{method}{'-adapt' if adapt else ''}"
             files[name] = d / f"{name}.tsv"
             files[f"{name}-trace"] = d / f"{name}-trace.tsv"
-            run("identify", "--model", model, "--in", test, "--method", method,
+            _run("identify", "--model", model, "--in", test, "--method", method,
                 "--out", files[name], "--trace", files[f"{name}-trace"],
                 *(ADAPT if adapt else []))
     files["system1"] = d / "system1.tsv"
     files["system1-trace"] = d / "system1-trace.tsv"
-    run("system1", "--train", train, "--test", test, "--out", files["system1"],
+    _run("system1", "--train", train, "--test", test, "--out", files["system1"],
         "--trace", files["system1-trace"])
     sweeps = {
         "sweep": ("--method", "nb", "--ranges", "1-2,2-4", "--pms", "1.5,2.15"),
@@ -106,11 +143,23 @@ def outputs(tmp_path_factory):
     }
     for name, grid in sweeps.items():
         files[name] = d / f"{name}.tsv"
-        run("sweep", "--train", train, "--dev", dev, *grid, "--out", files[name])
-    return {
-        name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()
-    }
+        _run("sweep", "--train", train, "--dev", dev, *grid, "--out", files[name])
+    return _digests(files)
 
 
 def test_golden_digests(outputs):
     assert outputs == GOLDEN
+
+
+def test_casing_golden_digests(tmp_path):
+    train, _, test = _corpus(tmp_path, CASING_SPEC)
+    files = {"model-heli": tmp_path / "heli.tsv"}
+    _run("train", "--in", train, "--method", "heli", "--lnr", "1-4", "--onr", "4-5",
+         "--pm", "1.9", "--model", files["model-heli"])
+    for adapt in (False, True):
+        name = f"identify-heli{'-adapt' if adapt else ''}"
+        files[name] = tmp_path / f"{name}.tsv"
+        files[f"{name}-trace"] = tmp_path / f"{name}-trace.tsv"
+        _run("identify", "--model", files["model-heli"], "--in", test,
+             "--out", files[name], "--trace", files[f"{name}-trace"], *(ADAPT if adapt else []))
+    assert _digests(files) == CASING_GOLDEN
