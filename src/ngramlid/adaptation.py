@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, NormalizedText, normalize
 from .heli import HeliModelSet, heli_add_document, heli_score_doc
 from .ngram import GramGroups, ModelSet
 from .scorers import (
@@ -92,28 +92,39 @@ class _ScorerBackend:
 
 
 class _HeliBackend:
-    """Backoff-model backend. Adding data to one language can move the
-    domain a word is scored in, which shifts every language's score, so
-    partial re-scoring is never sound here."""
+    """Backoff-model backend: caches each document's normalized text.
+    Adding data to one language can move the domain a word is scored in,
+    which shifts every language's score, so partial re-scoring is never
+    sound here."""
 
     partial = False
     lower = True
 
     def __init__(self, models: HeliModelSet):
         self.models = models
+        self._norms: dict[int, NormalizedText] = {}
 
     @property
     def languages(self) -> list[str]:
         return self.models.languages
 
+    def norm(self, doc: Document) -> NormalizedText:
+        norm = self._norms.get(doc.id)
+        if norm is None:
+            norm = self._norms[doc.id] = normalize(doc.text)
+        return norm
+
     def score_all(self, doc: Document) -> dict[str, float]:
-        return heli_score_doc(doc, self.models)
+        return heli_score_doc(doc, self.models, norm=self.norm(doc))
 
     def score_one(self, doc: Document, lang: str) -> float:
         raise NotImplementedError
 
     def absorb(self, doc: Document, lang: str) -> list[str]:
-        heli_add_document(self.models, doc, lang)
+        norm = self.norm(doc)
+        if not norm.words:
+            return []
+        heli_add_document(self.models, doc, lang, norm=norm)
         return self.languages
 
 

@@ -16,13 +16,21 @@ language's penalty, pm * log(total tokens of the domain), the same
 appeared-only-once smoothing rule the Naive Bayes scorer uses.
 
 Document score is the mean of its word scores; lower is better.
+
+Whether any language knows an item decides both the domain and the
+backoff, so a model set keeps an index of the known items: per kind and
+length, the union of every language's items. It is built on the first
+score (``HeliModelSet.known_items``), not by ``heli_build`` or the
+model-file reader, so training and loading do not pay for it; after
+that ``heli_add_document`` adds each fold's items to it, and
+``HeliModelSet.with_pm`` shares it with clones that share counts.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -45,6 +53,8 @@ from .ngram import (
 from .scorers import Prediction, to_prediction
 
 WORD_LENGTH_KEY = 0  # word sub-models store everything under pseudo-length 0
+
+_NOTHING_KNOWN: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,25 @@ class HeliModelSet:
 
     config: HeliConfig
     submodels: dict[str, dict[str, NgramModel]]
+    _known: dict[str, dict[int, set[str]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def languages(self) -> list[str]:
         return sorted(self.submodels[self.config._domains[0][0]])
+
+    def known_items(self) -> dict[str, dict[int, set[str]]]:
+        """Per kind and length, the items that any language's sub-model
+        counts; built on the first call, then kept exact by
+        ``heli_add_document``.
+
+        Code that edits sub-model counts any other way after the first
+        score must build a new model set.
+        """
+        if self._known is None:
+            self._known = {kind: _union(by_lang) for kind, by_lang in self.submodels.items()}
+        return self._known
 
     def with_pm(
         self, pm: float, copy_counts: bool = False, rng: NgramRange | None = None
@@ -96,6 +121,11 @@ class HeliModelSet:
         The slice equals a build over ``rng``: word sub-models do not
         depend on the range, and scoring reads gram counts and penalties
         only at lengths inside it.
+
+        A clone that shares counts shares the known-items index too (built
+        here if it is not yet): the same set per kept length, which at those
+        lengths equals the clone's own union. A clone with copied counts,
+        the kind to fold into, builds its own index when first scored.
         """
         config = replace(self.config, pm=pm)
         gram_kinds = {kind: outer for kind, outer, _ in config._domains if outer}
@@ -110,7 +140,37 @@ class HeliModelSet:
             }
             for kind, by_lang in self.submodels.items()
         }
-        return HeliModelSet(config=config, submodels=subs)
+        clone = HeliModelSet(config=config, submodels=subs)
+        if not copy_counts:
+            clone._known = {
+                kind: {
+                    n: items
+                    for n, items in by_len.items()
+                    if rng is None or kind not in gram_kinds or rng.holds(n)
+                }
+                for kind, by_len in self.known_items().items()
+            }
+        return clone
+
+
+def _union(by_lang: dict[str, NgramModel]) -> dict[int, set[str]]:
+    """Per length, the items any of ``by_lang``'s models counts."""
+    known: dict[int, set[str]] = {}
+    for m in by_lang.values():
+        for n, items in m.counts.items():
+            known.setdefault(n, set()).update(items)
+    return known
+
+
+def _add_known(known: dict[int, set[str]], items: Counter, length: int | None) -> None:
+    """Add one fold's items to a kind's index, keyed as ``add_grams`` keys them."""
+    for item in items:
+        n = len(item) if length is None else length
+        at_n = known.get(n)
+        if at_n is None:
+            known[n] = {item}
+        else:
+            at_n.add(item)
 
 
 def _doc_items(norm: NormalizedText, config: HeliConfig) -> list[tuple]:
@@ -136,24 +196,33 @@ def heli_build(train: Corpus, config: HeliConfig) -> HeliModelSet:
     return HeliModelSet(config=config, submodels=subs)
 
 
-def heli_add_document(models: HeliModelSet, doc: Document, language: str) -> HeliModelSet:
+def heli_add_document(
+    models: HeliModelSet, doc: Document, language: str, *, norm: NormalizedText | None = None
+) -> HeliModelSet:
     """Fold one document into a language's sub-models, in place.
 
-    Totals and penalties are updated for the lengths the document touches.
+    Totals and penalties are updated for the lengths the document touches,
+    and the known-items index, once built, gains the document's items.
+    ``norm`` is the document's normalized text, for callers that have it.
     """
     if language not in models.languages:
         raise ValueError(f"unknown language {language!r}")
-    for kind, items, length in _doc_items(normalize(doc.text), models.config):
+    if norm is None:
+        norm = normalize(doc.text)
+    known = models._known
+    for kind, items, length in _doc_items(norm, models.config):
         if items:
             models.submodels[kind][language].add_grams(items, length)
+            if known is not None:
+                _add_known(known[kind], items, length)
     return models
 
 
 def _word_domain_values(
-    word: str, by_lang: dict[str, NgramModel]
+    word: str, by_lang: dict[str, NgramModel], known: dict[int, set[str]]
 ) -> dict[str, float] | None:
     """Score in a word domain, or None when no language knows the word."""
-    if not any(word in m.counts.get(WORD_LENGTH_KEY, {}) for m in by_lang.values()):
+    if word not in known.get(WORD_LENGTH_KEY, _NOTHING_KNOWN):
         return None
     values = {}
     for lang, m in by_lang.items():
@@ -166,7 +235,7 @@ def _word_domain_values(
 
 
 def _gram_domain_values(
-    word: str, rng: NgramRange, by_lang: dict[str, NgramModel]
+    word: str, rng: NgramRange, by_lang: dict[str, NgramModel], known: dict[int, set[str]]
 ) -> dict[str, float] | None:
     """Score in a gram domain, trying lengths from the longest down.
 
@@ -177,19 +246,15 @@ def _gram_domain_values(
     """
     padded = f" {word} "
     size = len(padded)
-
-    def known(gram: str, length: int) -> bool:
-        return any(gram in m.counts.get(length, {}) for m in by_lang.values())
-
     for n in range(min(rng.max_n, size), rng.min_n - 1, -1):
         grams = [padded[i : i + n] for i in range(size - n + 1)]
-        if not any(known(g, n) for g in grams):
+        if known.get(n, _NOTHING_KNOWN).isdisjoint(grams):
             continue
         sums = {lang: 0.0 for lang in by_lang}
         used = 0
         for gram in grams:
             length = n
-            while not known(gram, length):
+            while gram not in known.get(length, _NOTHING_KNOWN):
                 length -= 1
                 if length < rng.min_n:
                     break
@@ -217,25 +282,30 @@ def heli_score_word(
     word_original: str, word_lowercased: str, models: HeliModelSet
 ) -> dict[str, float]:
     """Score one word in the first domain that recognizes it."""
+    known = models.known_items()
     for kind, rng, lower in models.config._domains:
         word = word_lowercased if lower else word_original
         by_lang = models.submodels[kind]
         if rng is None:
-            values = _word_domain_values(word, by_lang)
+            values = _word_domain_values(word, by_lang, known[kind])
         else:
-            values = _gram_domain_values(word, rng, by_lang)
+            values = _gram_domain_values(word, rng, by_lang, known[kind])
         if values is not None:
             return values
     return _last_resort_values(models)
 
 
-def heli_score_doc(doc: Document, models: HeliModelSet) -> dict[str, float]:
+def heli_score_doc(
+    doc: Document, models: HeliModelSet, *, norm: NormalizedText | None = None
+) -> dict[str, float]:
     """Mean word score per language; all zero for a wordless document.
 
     Word scores are combined with an exactly rounded sum, so the result
-    does not depend on word order.
+    does not depend on word order. ``norm`` is the document's normalized
+    text, for callers that score it more than once.
     """
-    norm = normalize(doc.text)
+    if norm is None:
+        norm = normalize(doc.text)
     languages = models.languages
     if not norm.words:
         return {lang: 0.0 for lang in languages}

@@ -12,6 +12,7 @@ from ngramlid import (
     FULL,
     HeliConfig,
     NgramRange,
+    adaptation,
     adaptive_identify,
     build_models,
     classify,
@@ -226,6 +227,29 @@ def test_heli_adaptation_runs_and_matches_full_rescoring(make_corpus, make_unlab
         )
     assert results[0] == results[1]
     assert [p.doc_id for p in results[0]] == [0, 1, 2, 3]
+
+
+def test_heli_wordless_document_forces_no_rescoring(make_corpus, make_unlabeled, monkeypatch):
+    # both languages are trained on the same text, so every margin is 0 and
+    # ties rank by ascending id: the wordless document 0 leads round one
+    train = make_corpus([("ab cd", "aa"), ("ab cd", "bb")])
+    test = make_unlabeled(["!!! 42", "ab", "cd ab"])
+    config = HeliConfig(lnr=NgramRange(1, 3), onr=None, lw=True, ow=False, pm=1.5)
+    calls = Counter()
+    real_score = adaptation.heli_score_doc
+
+    def counting_score(doc, models, **kwargs):
+        calls[doc.id] += 1
+        return real_score(doc, models, **kwargs)
+
+    monkeypatch.setattr(adaptation, "heli_score_doc", counting_score)
+    preds = adaptive_identify(test, heli_build(train, config), "heli", AdaptConfig(k=FULL))
+    # round 1 scores all three; absorbing the wordless document folds
+    # nothing, so round 2 reuses both scores; absorbing document 1 then
+    # changes "aa", so round 3 re-scores document 2 once
+    assert calls == {0: 1, 1: 1, 2: 2}
+    assert [(p.doc_id, p.margin) for p in preds] == [(0, 0.0), (1, 0.0), (2, preds[2].margin)]
+    assert preds[2].margin > 0
 
 
 def test_repeated_runs_identical(setup, tmp_path):

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
 
 from ngramlid import (
+    AdaptConfig,
     HeliConfig,
     ModelIOError,
     NgramRange,
+    adaptive_identify,
     build_models,
     heli_add_document,
     heli_build,
@@ -18,7 +21,8 @@ from ngramlid import (
     load_heli_models,
     save_heli_models,
 )
-from ngramlid.corpus import Document
+from ngramlid.corpus import Corpus, Document, normalize
+from ngramlid.heli import WORD_LENGTH_KEY, _last_resort_values
 
 
 @pytest.fixture
@@ -350,3 +354,200 @@ def test_load_rejects_non_canonical_headers(tmp_path, header):
     )
     with pytest.raises(ModelIOError, match="bad or missing header"):
         load_heli_models(path)
+
+
+# -- the known-items index ----------------------------------------------
+
+
+def _union_of_counts(models):
+    """The known-items index computed from scratch: per kind and length,
+    the union of every language's counted items."""
+    index = {}
+    for kind, by_lang in models.submodels.items():
+        lengths = {n for m in by_lang.values() for n in m.counts}
+        index[kind] = {
+            n: set().union(*(m.counts[n] for m in by_lang.values() if n in m.counts))
+            for n in lengths
+        }
+    return index
+
+
+def _snapshot(index):
+    return {kind: {n: set(items) for n, items in by_len.items()} for kind, by_len in index.items()}
+
+
+MIXED = HeliConfig(lnr=NgramRange(1, 4), onr=NgramRange(2, 5), lw=True, ow=True, pm=1.7)
+
+
+@pytest.fixture
+def mixed(make_corpus):
+    """Mixed-case, non-ASCII training text whose words are at most two
+    letters long, so no language has 5-grams yet."""
+    return make_corpus([("Σα σα İs", "A"), ("ıI ßa Şş", "B"), ("sa Aß", "C")])
+
+
+def test_known_items_built_on_first_score_only(tmp_path, mixed):
+    models = heli_build(mixed, MIXED)
+    assert models._known is None
+    path = tmp_path / "heli.tsv"
+    save_heli_models(models, path)
+    loaded = load_heli_models(path)
+    assert loaded._known is None
+    for m in (models, loaded):
+        heli_score_doc(Document(0, "Σα zz"), m)
+        assert m._known == _union_of_counts(m)
+    assert loaded._known == models._known
+
+
+def test_known_items_stay_exact_through_folds(mixed):
+    models = heli_build(mixed, MIXED)
+    index = models.known_items()
+    all_kinds = ["wordO", "wordL", "gramO", "gramL"]
+    folds = [  # text, language, the kinds it adds an item to the union of
+        ("σα", "B", []),  # known to the union already, new to B
+        ("Qz", "A", all_kinds),
+        ("qz", "C", ["wordO", "gramO"]),
+        ("Σααα", "C", all_kinds),  # gramO's first 5-grams: a new length
+        ("!!! 42", "A", []),  # wordless: folds nothing
+    ]
+    for text, lang, grown in folds:
+        before = _snapshot(index)
+        heli_add_document(models, Document(9, text), lang)
+        assert models.known_items() is index
+        assert index == _union_of_counts(models)
+        assert [kind for kind in all_kinds if index[kind] != before[kind]] == grown
+    assert 5 in index["gramO"] and 5 not in heli_build(mixed, MIXED).known_items()["gramO"]
+
+
+def test_known_items_with_pm_shared_sliced_and_copied(mixed):
+    models = heli_build(mixed, MIXED)
+    probes = [Document(i, t) for i, t in enumerate(["Σα σς", "İı qz", "ßaß Aa"])]
+    shared = models.with_pm(2.5)
+    sliced = models.with_pm(2.5, rng=NgramRange(3, 4))
+    copied = models.with_pm(2.5, copy_counts=True)
+    assert copied._known is None
+    for clone in (shared, sliced, copied):
+        assert clone.known_items() == _union_of_counts(clone)
+    for kind, by_len in sliced.known_items().items():
+        for n, items in by_len.items():
+            assert items is models.known_items()[kind][n]
+            assert items is shared.known_items()[kind][n]
+    assert set(sliced.known_items()["gramO"]) == {3, 4}
+    assert set(sliced.known_items()["wordO"]) == {WORD_LENGTH_KEY}
+
+    parent_index = _snapshot(models.known_items())
+    parent_scores = [heli_score_doc(d, models) for d in probes]
+    heli_add_document(copied, Document(9, "Qz Σααα"), "A")
+    assert copied.known_items() == _union_of_counts(copied)
+    assert copied.known_items() != parent_index
+    assert models.known_items() == parent_index == _union_of_counts(models)
+    assert [heli_score_doc(d, models) for d in probes] == parent_scores
+
+
+def _reference_word_values(word, by_lang):
+    if not any(word in m.counts.get(WORD_LENGTH_KEY, {}) for m in by_lang.values()):
+        return None
+    return {
+        lang: -math.log(m.counts[WORD_LENGTH_KEY][word] / m.totals[WORD_LENGTH_KEY])
+        if word in m.counts.get(WORD_LENGTH_KEY, {})
+        else m.penalty(WORD_LENGTH_KEY)
+        for lang, m in by_lang.items()
+    }
+
+
+def _reference_gram_values(word, rng, by_lang):
+    padded = f" {word} "
+
+    def known(gram, length):
+        return any(gram in m.counts.get(length, {}) for m in by_lang.values())
+
+    for n in range(min(rng.max_n, len(padded)), rng.min_n - 1, -1):
+        grams = [padded[i : i + n] for i in range(len(padded) - n + 1)]
+        if not any(known(g, n) for g in grams):
+            continue
+        sums = {lang: 0.0 for lang in by_lang}
+        used = 0
+        for gram in grams:
+            length = n
+            while not known(gram, length):
+                length -= 1
+                if length < rng.min_n:
+                    break
+                gram = gram[:length]
+            else:
+                used += 1
+                for lang, m in by_lang.items():
+                    c = m.counts.get(length, {}).get(gram)
+                    sums[lang] += m.penalty(length) if c is None else -math.log(c / m.totals[length])
+        return {lang: v / used for lang, v in sums.items()}
+    return None
+
+
+def _reference_score_doc(doc, models):
+    """``heli_score_doc`` without the known-items index: every domain
+    choice and backoff probe asks each language's counts in turn."""
+    norm = normalize(doc.text)
+    languages = models.languages
+    if not norm.words:
+        return {lang: 0.0 for lang in languages}
+    per_lang = {lang: [] for lang in languages}
+    for orig, lower in zip(norm.words, norm.lowercased):
+        for kind, rng, is_lower in models.config._domains:
+            word = lower if is_lower else orig
+            by_lang = models.submodels[kind]
+            if rng is None:
+                values = _reference_word_values(word, by_lang)
+            else:
+                values = _reference_gram_values(word, rng, by_lang)
+            if values is not None:
+                break
+        else:
+            values = _last_resort_values(models)
+        for lang in languages:
+            per_lang[lang].append(values[lang])
+    return {lang: math.fsum(v) / len(norm.words) for lang, v in per_lang.items()}
+
+
+def _random_mixed_corpora(rnd):
+    """Three languages over overlapping mixed-case, non-ASCII alphabets,
+    and unlabeled test text with punctuation, digits and a wordless line."""
+    alphabets = ["aAσΣςİißŞ", "ıIiİşŞaAß", "ΣσςaAßẞİı"]
+
+    def text(alphabet):
+        words = ["".join(rnd.choice(alphabet) for _ in range(rnd.randint(1, 6)))
+                 for _ in range(rnd.randint(1, 5))]
+        return rnd.choice([" ", ", ", "-7 "]).join(words)
+
+    train = Corpus(docs=tuple(
+        Document(i, text(alphabets[i % 3]), "ABC"[i % 3]) for i in range(24)
+    ))
+    test = [text(rnd.choice(alphabets)) for _ in range(14)] + ["... 12 !!"]
+    return train, Corpus(docs=tuple(Document(i, t) for i, t in enumerate(test)))
+
+
+def _random_range(rnd):
+    lo = rnd.randint(1, 3)
+    return NgramRange(lo, rnd.randint(lo, 5))
+
+
+@pytest.mark.parametrize(
+    "lw, ow, lnr, onr",
+    [flags for flags in itertools.product((False, True), repeat=4) if any(flags)],
+)
+def test_known_items_change_no_score(lw, ow, lnr, onr):
+    rnd = random.Random(f"{lw}{ow}{lnr}{onr}")
+    train, test = _random_mixed_corpora(rnd)
+    config = HeliConfig(
+        lnr=_random_range(rnd) if lnr else None,
+        onr=_random_range(rnd) if onr else None,
+        lw=lw, ow=ow, pm=rnd.choice([1.1, 2.15, 3.0]),
+    )
+    models = heli_build(train, config)
+    for doc in test:
+        assert heli_score_doc(doc, models) == _reference_score_doc(doc, models)
+    adapted = models.with_pm(config.pm, copy_counts=True)
+    adaptive_identify(test, adapted, "heli", AdaptConfig(k=4))
+    assert adapted.known_items() == _union_of_counts(adapted)
+    assert adapted.submodels != models.submodels
+    for doc in test:
+        assert heli_score_doc(doc, adapted) == _reference_score_doc(doc, adapted)
