@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -93,6 +94,8 @@ def parse_pms_spec(spec: str) -> list[float]:
     if ":" in spec:
         start_s, stop_s, step_s = spec.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"pm grid {spec!r} needs a finite start, stop and step")
         if step <= 0:
             raise ValueError("pm step must be positive")
         values = []

@@ -8,6 +8,7 @@ multi-class task equals plain accuracy and is computed as such.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from .adaptation import AdaptConfig, adaptive_identify
 from .corpus import Corpus
 from .heli import HeliConfig, heli_build
-from .ngram import GramGroups, NgramRange, build_models
-from .scorers import Prediction
+from .ngram import GramGroups, ModelSet, NgramModel, NgramRange, _check_pm, build_models
+from .scorers import Prediction, _nb_length_terms, to_prediction
 
 SWEEP_METHODS = ("simple", "sum_rf", "nb", "heli")
 
@@ -136,6 +137,56 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def _nb_cell_scores(
+    terms: dict[str, list], models: dict[str, NgramModel], rng: NgramRange
+) -> dict[str, float]:
+    """One document's nb scores in the cell of ``rng`` and the models' pm.
+
+    ``terms`` maps a language to ``_nb_length_terms`` of the document on
+    the union build; ``models`` are that build's ``with_pm`` slice for
+    the cell, so the penalties come from ``_penalty`` as always. Each
+    absent gram gets its own ``mult * pen`` term, as in ``_score_nb``.
+    """
+    scores = {}
+    for lang, model in models.items():
+        cell: list[float] = []
+        for n, present, absent in terms[lang]:
+            if rng.holds(n):
+                cell += present
+                pen = model.penalty(n)
+                cell += [mult * pen for mult in absent]
+        scores[lang] = math.fsum(cell)
+    return scores
+
+
+def _sweep_nb_cells(
+    dev: Corpus, base: ModelSet, dev_grams: dict[int, GramGroups], ranges, pms
+) -> list[SweepRow]:
+    """The nb cells of a sweep without adaptation.
+
+    Each dev document's present-gram terms and absent-gram
+    multiplicities are computed once per language, on the union build;
+    every cell then adds up the terms of its range's lengths under its
+    own penalties. Scores, and so the rows, equal ``adaptive_identify``
+    with ``epochs=0`` on the cell's slices.
+    """
+    terms = {
+        i: {lang: _nb_length_terms(g.groups, m) for lang, m in base.models.items()}
+        for i, g in dev_grams.items()
+    }
+    rows = []
+    for rng in ranges:
+        for pm in pms:
+            models = base.with_pm(pm, rng=rng).models
+            preds = [
+                to_prediction(doc.id, _nb_cell_scores(terms[doc.id], models, rng), lower=True)
+                for doc in dev
+            ]
+            report = evaluate(preds, dev)
+            rows.append(SweepRow("nb", rng, pm, report.macro_f1, report.micro_f1))
+    return rows
+
+
 def _sweep_ranges(args) -> list[SweepRow]:
     """Every (range, pm) cell of a group of ranges, in one pass.
 
@@ -143,7 +194,8 @@ def _sweep_ranges(args) -> list[SweepRow]:
     document's grams are extracted once over it. Counts, totals and
     penalties are all per gram length, so each cell scores the length
     slices of both, which equal a build and an extraction over the cell's
-    range alone.
+    range alone. An nb sweep without adaptation goes further: it splits
+    each document's terms once per language (``_sweep_nb_cells``).
     """
     train, dev, method, ranges, pms, adapt = args
     union = NgramRange(min(r.min_n for r in ranges), max(r.max_n for r in ranges))
@@ -154,6 +206,8 @@ def _sweep_ranges(args) -> list[SweepRow]:
         base = build_models(train, union, pms[0])
         dev_grams = {doc.id: GramGroups(base.doc_grams(doc)) for doc in dev}
     config = adapt or AdaptConfig(epochs=0)
+    if method == "nb" and config.epochs == 0:
+        return _sweep_nb_cells(dev, base, dev_grams, ranges, pms)
     rows = []
     for rng in ranges:
         grams = None if dev_grams is None else {i: g.sliced(rng) for i, g in dev_grams.items()}
@@ -178,13 +232,18 @@ def sweep(
 
     Models are built once, over the union of the grid's ranges, and
     sliced and re-penalized per cell; each dev document is extracted
-    once. The penalty grid is ignored for the two methods that never
-    smooth. Rows come back sorted by macro F1 descending, ties by
-    (range.min_n, range.max_n, pm) ascending; repeated runs produce
-    identical output. With ``jobs`` (at least 1) above 1, the sorted
-    ranges are split into ``min(jobs, ranges)`` contiguous groups, each
-    swept the same way in its own worker process; the output does not
-    depend on ``jobs``.
+    once. Without adaptation, an nb sweep also computes each dev
+    document's per-length terms once per language: present grams'
+    ``-log`` frequencies and absent grams' multiplicities. Each cell then
+    only charges its penalties and sums its range's lengths with
+    ``math.fsum``, which gives the bits of a direct score. Every pm is
+    checked before anything is built. The penalty grid is ignored for
+    the two methods that never smooth. Rows come back sorted by macro
+    F1 descending, ties by (range.min_n, range.max_n, pm) ascending;
+    repeated runs produce identical output. With ``jobs`` (at least 1)
+    above 1, the sorted ranges are split into ``min(jobs, ranges)``
+    contiguous groups, each swept the same way in its own worker process;
+    the output does not depend on ``jobs``.
     """
     if method not in SWEEP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {SWEEP_METHODS}")
@@ -194,6 +253,8 @@ def sweep(
     if not range_list:
         raise ValueError("sweep grid has no n-gram ranges")
     if method in ("nb", "heli"):
+        for pm in pms:  # before any build, not when the pm's cell is reached
+            _check_pm(pm)
         pm_list = sorted(set(pms))
         if not pm_list:
             raise ValueError("sweep grid has no penalty modifiers")

@@ -74,6 +74,32 @@ def _score_nb(grouped, model: NgramModel) -> float:
     return math.fsum(terms)
 
 
+def _nb_length_terms(grouped, model: NgramModel) -> list[tuple[int, list[float], list[int]]]:
+    """``_score_nb``'s terms split by gram length, for a sweep to reuse
+    across penalty modifiers: ``(length, present, absent)`` per group,
+    where ``present`` holds each present gram's term and ``absent`` each
+    absent gram's multiplicity.
+
+    Only absent grams depend on pm. ``fsum`` over ``present`` plus one
+    ``mult * model.penalty(length)`` per ``absent`` entry, for every
+    length of a range, is exactly rounded over the same terms as
+    ``_score_nb`` on the range's slice, so it gives the same float.
+    """
+    split = []
+    for length, items in grouped:
+        counts = model.counts.get(length, {})
+        denom = model.totals.get(length, 0)
+        present, absent = [], []
+        for gram, mult in items:
+            c = counts.get(gram)
+            if c is None:
+                absent.append(mult)
+            else:
+                present.append(mult * -math.log(c / denom))
+        split.append((length, present, absent))
+    return split
+
+
 _SCORERS = {"simple": _score_simple, "sum_rf": _score_sum_rf, "nb": _score_nb}
 
 

@@ -180,6 +180,29 @@ def test_sweep_command(tmp_path, corpus_file):
     assert len(lines) == 5
 
 
+NON_FINITE_PM_GRIDS = ("1:2:nan", "1:inf:0.5", "nan:2:0.1", "-inf:2:0.5", "1:2:inf")
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_PM_GRIDS)
+def test_non_finite_pm_grid_is_rejected(spec):
+    # a non-finite bound or step never passes the stop test: reject it
+    # rather than grow the grid forever
+    with pytest.raises(ValueError, match="finite"):
+        parse_pms_spec(spec)
+
+
+def test_sweep_non_finite_pm_grid_or_pm_exits_2(tmp_path, corpus_file, capsys):
+    train, dev = _split(tmp_path, corpus_file)
+    out = tmp_path / "sweep.tsv"
+    base = ["sweep", "--train", str(train), "--dev", str(dev), "--method", "nb",
+            "--ranges", "1-2", "--out", str(out)]
+    for spec in NON_FINITE_PM_GRIDS + ("2.0,inf", "nan", "0,2"):
+        capsys.readouterr()
+        assert main(base + [f"--pms={spec}"]) == 2
+        assert "ngramlid: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_system1_smoke(tmp_path, corpus_file):
     train, dev = _split(tmp_path, corpus_file)
     test_file = _strip_labels(tmp_path, dev)

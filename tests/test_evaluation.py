@@ -20,6 +20,8 @@ from ngramlid import (
 from ngramlid.corpus import Corpus, Document, ordered_split
 from ngramlid import evaluation
 from ngramlid.evaluation import SWEEP_METHODS, SweepResult, SweepRow
+from ngramlid.ngram import GramGroups
+from ngramlid.scorers import _nb_length_terms, score_with, to_prediction
 from ngramlid.synth import generate, spec_from_dict
 
 
@@ -255,7 +257,9 @@ def _reference_sweep(train, dev, method, ranges, pms, adapt):
     return SweepResult(rows=tuple(rows))
 
 
-@pytest.mark.parametrize("adapt", [None, AdaptConfig(k=3)], ids=["plain", "adapt"])
+@pytest.mark.parametrize(
+    "adapt", [None, AdaptConfig(k=3), AdaptConfig(k=3, epochs=0)], ids=["plain", "adapt", "epochs0"]
+)
 @pytest.mark.parametrize("method", SWEEP_METHODS)
 def test_sweep_equals_per_range_builds(synth_task, method, adapt):
     train, dev = synth_task
@@ -364,3 +368,86 @@ def test_sweep_tsv_format():
     lines = tsv.splitlines()
     assert lines[0] == "method\trange_min\trange_max\tpm\tmacro_f1\tmicro_f1"
     assert lines[1].split("\t") == ["nb", "2", "6", "2.15", "0.8609", "0.9339"]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("method", ["nb", "heli"])
+def test_sweep_checks_every_pm_before_building(tiny_task, monkeypatch, method, bad):
+    train, dev = tiny_task
+    built = _capture_builds(monkeypatch)
+    with pytest.raises(ValueError, match="penalty modifier"):
+        sweep(train, dev, method, [NgramRange(1, 2)], [2.0, bad])
+    assert built == []
+
+
+def _random_nb_task(seed):
+    """Random three-language corpora whose dev side has what a term cache
+    must get right: a wordless document, absent grams of multiplicity
+    two or more, and gram lengths the language "sh" has none of (its
+    words are at most two letters, so it has no 5- or 6-grams)."""
+    rnd = random.Random(seed)
+
+    def text(letters, lengths, words):
+        return " ".join(
+            "".join(rnd.choice(letters) for _ in range(rnd.choice(lengths)))
+            for _ in range(words)
+        )
+
+    langs = {"ab": ("abcdef", (1, 2, 3, 5)), "cd": ("cdefgh", (2, 3, 4, 6)), "sh": ("aceg", (1, 2))}
+    train = Corpus(docs=tuple(
+        Document(i, text(*langs[lang], rnd.randint(1, 6)), lang)
+        for i, lang in enumerate(sorted(langs) * 6)
+    ))
+    dev = [Document(100, " ,. ", "ab"), Document(101, "zzq zzq zzq qq", "cd")]
+    for i in range(8):
+        lang = rnd.choice(sorted(langs))
+        letters, _ = langs[lang]
+        dev.append(Document(102 + i, text(letters + "xy", (1, 2, 4, 5, 6), rnd.randint(1, 5)), lang))
+    return train, Corpus(docs=tuple(dev))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nb_sweep_scores_equal_direct_scores(monkeypatch, seed):
+    # every score the term cache produces == score_with on the cell's
+    # slices, bit for bit; recorded where the sweep makes its predictions
+    train, dev = _random_nb_task(seed)
+    scored = []
+
+    def record(doc_id, scores, lower):
+        scored.append((doc_id, scores))
+        return to_prediction(doc_id, scores, lower)
+
+    monkeypatch.setattr(evaluation, "to_prediction", record)
+    ranges = [NgramRange(1, 1), NgramRange(1, 3), NgramRange(2, 6), NgramRange(4, 6), NgramRange(5, 5)]
+    pms = sorted([1.0, 2.15, 1.3 + seed / 7])
+    sweep(train, dev, "nb", ranges, pms)
+
+    base = build_models(train, NgramRange(1, 6), pms[0])
+    grams = {doc.id: GramGroups(base.doc_grams(doc)) for doc in dev}
+    expected = [
+        (doc.id, score_with("nb", grams[doc.id].sliced(rng), base.with_pm(pm, rng=rng)))
+        for rng in ranges for pm in pms for doc in dev
+    ]
+    assert scored == expected
+    # the cases the docstring of _random_nb_task promises
+    assert not grams[100]
+    assert dict(dict(grams[101].groups)[4])[" zzq"] == 3
+    assert " zzq" not in base.models["ab"].counts[4]
+    assert 5 not in base.models["sh"].counts and base.models["sh"].penalty(5) == 0.0
+    assert any(n == 5 for g in grams.values() for n, _ in g.groups)
+
+
+@pytest.mark.parametrize("adapt", [None, AdaptConfig(k=2, epochs=0)], ids=["plain", "epochs0"])
+def test_nb_sweep_computes_terms_once_per_document_and_language(synth_task, monkeypatch, adapt):
+    train, dev = synth_task
+    calls = []
+
+    def counted(grouped, model):
+        calls.append(model.language)
+        return _nb_length_terms(grouped, model)
+
+    monkeypatch.setattr(evaluation, "_nb_length_terms", counted)
+    monkeypatch.setattr(evaluation, "adaptive_identify", None)  # no per-cell scoring pass
+    result = sweep(train, dev, "nb", GRID[:3], [1.2, 1.5, 2.0, 2.15], adapt=adapt)
+    assert len(result.rows) == 12
+    assert len(calls) == len(dev) * len(train.label_set)
