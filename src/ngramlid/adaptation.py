@@ -58,8 +58,6 @@ class _ScorerBackend:
     once (or handed over already grouped), and supports re-scoring a
     single language after its model changed."""
 
-    partial = True
-
     def __init__(self, model_set: ModelSet, method: str, grams: dict[int, GramGroups] | None):
         self.model_set = model_set
         self.method = method
@@ -94,10 +92,10 @@ class _ScorerBackend:
 class _HeliBackend:
     """Backoff-model backend: caches each document's normalized text.
     Adding data to one language can move the domain a word is scored in,
-    which shifts every language's score, so partial re-scoring is never
-    sound here."""
+    which shifts every language's score, so ``absorb`` reports every
+    language (or none, for a wordless document) and a document is always
+    re-scored in full."""
 
-    partial = False
     lower = True
 
     def __init__(self, models: HeliModelSet):
@@ -116,9 +114,6 @@ class _HeliBackend:
 
     def score_all(self, doc: Document) -> dict[str, float]:
         return heli_score_doc(doc, self.models, norm=self.norm(doc))
-
-    def score_one(self, doc: Document, lang: str) -> float:
-        raise NotImplementedError
 
     def absorb(self, doc: Document, lang: str) -> list[str]:
         norm = self.norm(doc)
@@ -146,7 +141,6 @@ def adaptive_identify(
     method: str,
     config: AdaptConfig,
     trace_path: str | Path | None = None,
-    incremental: bool = True,
     grams: dict[int, GramGroups] | None = None,
 ) -> list[Prediction]:
     """Identify every document of ``test``, adapting models along the way.
@@ -156,10 +150,11 @@ def adaptive_identify(
     ``epochs=0`` disables adaptation entirely. The models inside
     ``model_set`` are mutated; pass a copy to keep the originals.
 
-    With ``incremental`` set (the default), a document is re-scored
-    only against languages whose model changed since it was last
-    scored; the flag never changes any output, only how much work each
-    round does.
+    A document is re-scored only against the languages whose model
+    changed since it was last scored: in one ``score_all`` call when
+    every language changed, otherwise one ``score_one`` call per changed
+    language. Either way the scores are bit-identical to a full
+    re-scoring.
 
     For the gram methods, ``grams`` maps a document id to that document's
     grouped grams under the model set's options, for callers that
@@ -186,14 +181,13 @@ def adaptive_identify(
             cache[doc.id] = {lang: (scores[lang], versions[lang]) for lang in languages}
             return scores
         stale = [lang for lang in languages if entry[lang][1] != versions[lang]]
-        if stale:
-            if incremental and backend.partial:
-                for lang in stale:
-                    entry[lang] = (backend.score_one(doc, lang), versions[lang])
-            else:
-                scores = backend.score_all(doc)
-                for lang in languages:
-                    entry[lang] = (scores[lang], versions[lang])
+        if len(stale) == len(languages):
+            scores = backend.score_all(doc)
+            for lang in languages:
+                entry[lang] = (scores[lang], versions[lang])
+        else:
+            for lang in stale:
+                entry[lang] = (backend.score_one(doc, lang), versions[lang])
         return {lang: entry[lang][0] for lang in languages}
 
     def predict(doc: Document) -> Prediction:

@@ -35,6 +35,8 @@ SYSTEM1_RANGE = NgramRange(2, 6)
 SYSTEM1_PM = 2.15
 SYSTEM1_K = 20
 
+MAX_PM_GRID = 10_000  # values a start:stop:step penalty grid may have
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -98,15 +100,11 @@ def parse_pms_spec(spec: str) -> list[float]:
             raise ValueError(f"pm grid {spec!r} needs a finite start, stop and step")
         if step <= 0:
             raise ValueError("pm step must be positive")
-        values = []
-        i = 0
-        while True:
-            value = round(start + i * step, 12)
-            if value > stop + 1e-12:
-                break
-            values.append(value)
-            i += 1
-        return values
+        # a 1e-9 step of slack absorbs float error, so 2.10:2.20:0.01 keeps 2.20
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        if count > MAX_PM_GRID:
+            raise ValueError(f"pm grid {spec!r} has more than {MAX_PM_GRID} values")
+        return [round(start + i * step, 12) for i in range(count)]
     return [float(part) for part in spec.split(",") if part]
 
 
@@ -174,10 +172,10 @@ def _cmd_train(args) -> int:
 
 
 def _load_any_models(path: str, method: str | None):
-    """Read a model file once, then build the kind its header and row
-    width name; ``method`` (None: the kind's default) must suit it."""
+    """Read a model file once, then build the kind its header and first
+    row name; ``method`` (None: the kind's default) must suit it."""
     lines = _read_model_lines(Path(path))
-    heli = is_heli_model_file(lines[0], lines[2])
+    heli = is_heli_model_file(*lines)
     if method is not None and (method == "heli") != heli:
         kind = "a heli" if heli else "not a heli"
         raise ModelIOError(f"{path} is {kind} model file; method {method!r} cannot use it")

@@ -352,7 +352,7 @@ def save_heli_models(models: HeliModelSet, path: str | Path) -> None:
     _write_model_file(path, header, models.submodels)
 
 
-def parse_heli_models(path: Path, header: dict, rows: list, n_fields: int) -> HeliModelSet:
+def parse_heli_models(path: Path, header: dict, rows: list) -> HeliModelSet:
     """Build a model set from a file split by ``_read_model_lines``."""
     pm = _parse_pm(path, header)
     try:
@@ -368,7 +368,7 @@ def parse_heli_models(path: Path, header: dict, rows: list, n_fields: int) -> He
     kinds = {
         kind: rng and ("lnr" if lower else "onr", rng) for kind, rng, lower in config._domains
     }
-    subs = _parse_rows(path, rows, n_fields, pm, kinds)
+    subs = _parse_rows(path, rows, pm, kinds)
     return HeliModelSet(config=config, submodels=subs)
 
 

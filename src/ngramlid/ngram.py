@@ -409,40 +409,37 @@ def save_models(model_set: ModelSet, path: str | Path) -> None:
     _write_model_file(path, header, model_set.submodels)
 
 
-def _read_model_lines(path: Path) -> tuple[dict[str, str], list[list[str]], int]:
-    """Split a model file into header key/values, data rows and the row width.
+def _read_model_lines(path: Path) -> tuple[dict[str, str], list[str]]:
+    """Split a model file into its header key/values and its row lines.
 
-    A well-formed file ends with a newline; a missing one means the file
-    was truncated mid-write.
+    The header lines (``#key value``) come first, as the writer writes
+    them; every line from the first row on is a row line, left for
+    ``_parse_rows`` to split and check. A well-formed file ends with a
+    newline; a missing one means the file was truncated mid-write.
     """
     raw = path.read_text(encoding="utf-8")
     if not raw:
         raise ModelIOError(f"{path}: empty model file")
     if not raw.endswith("\n"):
         raise ModelIOError(f"{path}: truncated model file (no trailing newline)")
+    lines = raw.split("\n")
+    lines.pop()  # the empty string after the final newline
     header: dict[str, str] = {}
-    rows: list[list[str]] = []
-    n_fields = 0
-    for lineno, line in enumerate(raw.split("\n")[:-1], start=1):
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(" ")
-            if key in header:
-                raise ModelIOError(f"{path}: line {lineno}: repeated header #{key}")
-            header[key] = value
-        else:
-            fields = line.split("\t")
-            if not rows:
-                n_fields = len(fields)
-            elif len(fields) != n_fields:
-                raise ModelIOError(f"{path}: line {lineno}: ragged row")
-            rows.append(fields)
+    for line in lines:
+        if not line.startswith("#"):
+            break
+        key, _, value = line[1:].partition(" ")
+        if key in header:
+            raise ModelIOError(f"{path}: line {len(header) + 1}: repeated header #{key}")
+        header[key] = value
+    del lines[: len(header)]
     if header.get("version") != "1":
         raise ModelIOError(
             f"{path}: unsupported model file version {header.get('version')!r}"
         )
     if header.get("log", "natural") != "natural":
         raise ModelIOError(f"{path}: unsupported log base {header['log']!r}")
-    return header, rows, n_fields
+    return header, lines
 
 
 def _parse_pm(path: Path, header: dict[str, str]) -> float:
@@ -474,35 +471,45 @@ def _parse_flag(value: str) -> bool:
     return value == "1"
 
 
-def _parse_rows(path: Path, rows: list, n_fields: int, pm: float, kinds: dict) -> dict:
-    """Count rows into one refreshed model per (kind, language).
+def _row_error(path: Path, line: str, problem: str) -> ModelIOError:
+    """The error for a malformed row line. A ``#`` line among the rows is
+    a header line placed after them, which the reader never skips."""
+    if line.startswith("#"):
+        problem = "header line after the rows"
+    return ModelIOError(f"{path}: {problem}: {line!r}")
+
+
+def _parse_rows(path: Path, rows: list[str], pm: float, kinds: dict) -> dict:
+    """Split and count row lines into one refreshed model per (kind, language).
 
     ``kinds`` maps each kind the header enables to ``(header name, gram
     range)``, or to None for a word kind, whose rows use length 0. Rows
-    of kind ``GRAMS`` carry no kind column. Rows must be well formed,
-    with canonical integers, unique and inside their kind's range; the
+    of kind ``GRAMS`` have 4 fields and no kind column, others 5. Each
+    line is split as it is counted and must have its kind's width, with
+    canonical integers, unique and inside its kind's range; the language,
     length and range are checked once per (language, kind, length) run.
     Every language gets a model of every kind.
     """
     width = 4 if GRAMS in kinds else 5
-    if rows and n_fields != width:
-        raise ModelIOError(f"{path}: expected {width} fields per row, got {n_fields}")
     subs: dict[str, dict[str, NgramModel]] = {kind: {} for kind in kinds}
     kind, key = GRAMS, None
-    for fields in rows:
+    for line in rows:
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise _row_error(path, line, f"expected {width} fields, got {len(fields)}")
         if width == 4:
             lang, length_s, item, count_s = fields
         else:
             lang, kind, length_s, item, count_s = fields
         if (lang, kind, length_s) != key:
             key = (lang, kind, length_s)
+            if not lang or lang[0] == "#":  # a # line is a header line out of place
+                raise _row_error(path, line, "empty language field in row")
             if not _is_canonical_int(length_s):
-                raise ModelIOError(f"{path}: bad length in row {fields!r}")
+                raise _row_error(path, line, "bad length in row")
             length = int(length_s)
             if kind not in kinds:
                 raise ModelIOError(f"{path}: row kind {kind!r} not enabled in header")
-            if not lang:
-                raise ModelIOError(f"{path}: row with an empty language field")
             spec = kinds[kind]
             if spec and not spec[1].min_n <= length <= spec[1].max_n:
                 name, rng = spec
@@ -516,11 +523,11 @@ def _parse_rows(path: Path, rows: list, n_fields: int, pm: float, kinds: dict) -
             by_item = model.counts.setdefault(length, {})
         # _is_canonical_int and at least 1, inlined since it runs on every row
         if not (count_s.isdigit() and count_s.isascii()) or count_s[0] == "0":
-            raise ModelIOError(f"{path}: bad count in row {fields!r}")
+            raise _row_error(path, line, "bad count in row")
         if length != (len(item) if spec else 0):
-            raise ModelIOError(f"{path}: inconsistent row {fields!r}")
+            raise _row_error(path, line, "inconsistent row")
         if item in by_item:
-            raise ModelIOError(f"{path}: duplicate row {fields!r}")
+            raise _row_error(path, line, "duplicate row")
         by_item[item] = int(count_s)
     languages = sorted({lang for by_lang in subs.values() for lang in by_lang})
     if not languages:
@@ -533,13 +540,13 @@ def _parse_rows(path: Path, rows: list, n_fields: int, pm: float, kinds: dict) -
     return subs
 
 
-def is_heli_model_file(header: dict[str, str], n_fields: int) -> bool:
+def is_heli_model_file(header: dict[str, str], rows: list[str]) -> bool:
     """Whether a file split by ``_read_model_lines`` holds word+gram
-    sub-models: it has a ``#lw`` header or 5-column rows."""
-    return "lw" in header or n_fields == 5
+    sub-models: it has a ``#lw`` header or its first row has 5 fields."""
+    return "lw" in header or bool(rows) and rows[0].count("\t") == 4
 
 
-def parse_models(path: Path, header: dict, rows: list, n_fields: int) -> ModelSet:
+def parse_models(path: Path, header: dict, rows: list) -> ModelSet:
     """Build a model set from a file split by ``_read_model_lines``."""
     pm = _parse_pm(path, header)
     try:
@@ -550,7 +557,7 @@ def parse_models(path: Path, header: dict, rows: list, n_fields: int) -> ModelSe
         )
     except (KeyError, ValueError) as exc:
         raise ModelIOError(f"{path}: bad or missing header: {exc}") from exc
-    models = _parse_rows(path, rows, n_fields, pm, {GRAMS: ("range", rng)})[GRAMS]
+    models = _parse_rows(path, rows, pm, {GRAMS: ("range", rng)})[GRAMS]
     return ModelSet(models, rng, pm, lowercase, pad, concat)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,9 @@ def test_parse_pms_spec():
     assert parse_pms_spec("2.15,2.2") == [2.15, 2.2]
     assert parse_pms_spec("2.10:2.20:0.05") == [2.10, 2.15, 2.20]
     assert len(parse_pms_spec("2.14:2.16:0.01")) == 3
+    assert parse_pms_spec("2.10:2.20:0.01") == [
+        2.10, 2.11, 2.12, 2.13, 2.14, 2.15, 2.16, 2.17, 2.18, 2.19, 2.20
+    ]
 
 
 def test_full_pipeline(tmp_path, corpus_file):
@@ -203,6 +207,22 @@ def test_sweep_non_finite_pm_grid_or_pm_exits_2(tmp_path, corpus_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["1:2:1e-300", "0:1e12:1"])
+def test_sweep_oversized_pm_grid_exits_2_at_once(tmp_path, corpus_file, capsys, spec):
+    # the grid's size is known before any value is made: 10^300 and 10^12
+    # values are refused, not generated
+    with pytest.raises(ValueError, match=f"more than {cli.MAX_PM_GRID} values"):
+        parse_pms_spec(spec)
+    train, dev = _split(tmp_path, corpus_file)
+    out = tmp_path / "sweep.tsv"
+    started = time.monotonic()
+    assert main(["sweep", "--train", str(train), "--dev", str(dev), "--method", "nb",
+                 "--ranges", "1-2", "--pms", spec, "--out", str(out)]) == 2
+    assert time.monotonic() - started < 1.0
+    assert "pm grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_system1_smoke(tmp_path, corpus_file):
     train, dev = _split(tmp_path, corpus_file)
     test_file = _strip_labels(tmp_path, dev)
@@ -331,6 +351,29 @@ def test_non_canonical_model_integers_or_repeated_header_exit_2(
         model.write_text("\n".join(spoiled_lines), encoding="utf-8")
         assert main(identify) == 2
         assert "bad or missing header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["nb", "heli"])
+def test_malformed_model_row_lines_exit_2(tmp_path, corpus_file, capsys, method):
+    train, dev = _split(tmp_path, corpus_file)
+    model = tmp_path / "model.tsv"
+    assert main(["train", "--in", str(train), "--method", method, "--model", str(model)]) == 0
+    test_file = _strip_labels(tmp_path, dev)
+    identify = ["identify", "--model", str(model), "--in", str(test_file),
+                "--out", str(tmp_path / "p.tsv")]
+    head, _, last = model.read_text(encoding="utf-8")[:-1].rpartition("\n")
+    spoiled = {
+        "ragged": (head + "\n" + last.rpartition("\t")[0], "fields, got"),
+        "blank": (head + "\n\n" + last, "fields, got 1"),
+        # at a row's head, # makes the row a header line out of place
+        "header-row": (head + "\n#" + last, "header line after the rows"),
+        "header": (head + "\n" + last + "\n#pm 2.15", "header line after the rows"),
+    }
+    for what, (text, problem) in spoiled.items():
+        model.write_text(text + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(identify) == 2, what
+        assert problem in capsys.readouterr().err, what
 
 
 def test_non_finite_penalty_modifier_or_threshold_exits_2(tmp_path, corpus_file, capsys):

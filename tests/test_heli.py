@@ -316,6 +316,26 @@ def test_load_rejects_non_canonical_integers(tmp_path, row):
         load_heli_models(path)
 
 
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        ("A\twordL\t0\tab\t1\nA\t0\tac\t1\n", "expected 5 fields, got 4"),
+        ("A\twordL\t0\tab\t1\nA\twordL\t0\tac\t1\t1\n", "expected 5 fields, got 6"),
+        ("A\twordL\t0\tab\t1\n\nA\twordL\t0\tac\t1\n", "expected 5 fields, got 1"),
+        ("A\twordL\t0\tab\t1\n#B\twordL\t0\tac\t1\n", "header line after the rows"),
+        ("A\twordL\t0\tab\t1\n#ow 0\n", "header line after the rows"),
+    ],
+    ids=["short", "long", "blank", "header-row", "header"],
+)
+def test_load_rejects_malformed_row_lines(tmp_path, rows, problem):
+    path = tmp_path / "heli.tsv"
+    path.write_text(
+        "#version 1\n#pm 1.0\n#log natural\n#lnr -\n#onr -\n#lw 1\n#ow 0\n" + rows, "utf-8"
+    )
+    with pytest.raises(ModelIOError, match=problem):
+        load_heli_models(path)
+
+
 def test_load_rejects_repeated_header(tmp_path):
     path = tmp_path / "heli.tsv"
     path.write_text(

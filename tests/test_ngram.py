@@ -438,6 +438,26 @@ def test_load_rejects_repeated_header(tmp_path):
         load_models(path)
 
 
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        ("A\t2\tab\t1\nA\t2\tac\n", "expected 4 fields, got 3"),
+        ("A\t2\tab\t1\nA\t2\tac\t1\t1\n", "expected 4 fields, got 5"),
+        ("A\t2\tab\t1\n\nA\t2\tac\t1\n", "expected 4 fields, got 1"),
+        ("A\t2\tab\t1\n#B\t2\t y\t4\n", "header line after the rows"),
+        ("A\t2\tab\t1\n#pad 1\n", "header line after the rows"),
+    ],
+    ids=["short", "long", "blank", "header-row", "header"],
+)
+def test_load_rejects_malformed_row_lines(tmp_path, rows, problem):
+    # a # line after the rows used to be read as an unknown header, and the
+    # row it held was lost
+    path = tmp_path / "model.tsv"
+    path.write_text("#version 1\n#range 2 2\n#pm 1.0\n#log natural\n" + rows, "utf-8")
+    with pytest.raises(ModelIOError, match=problem):
+        load_models(path)
+
+
 def test_load_rejects_gram_length_outside_range(tmp_path):
     path = tmp_path / "model.tsv"
     path.write_text(
