@@ -35,6 +35,7 @@ SYSTEM1_RANGE = NgramRange(2, 6)
 SYSTEM1_PM = 2.15
 SYSTEM1_K = 20
 
+METHODS = ("nb", "simple", "sumrf", "heli")  # "sumrf" is the library's "sum_rf"
 MAX_PM_GRID = 10_000  # values a start:stop:step penalty grid may have
 
 
@@ -104,7 +105,10 @@ def parse_pms_spec(spec: str) -> list[float]:
         count = math.floor((stop - start) / step + 1e-9) + 1
         if count > MAX_PM_GRID:
             raise ValueError(f"pm grid {spec!r} has more than {MAX_PM_GRID} values")
-        return [round(start + i * step, 12) for i in range(count)]
+        values = [round(start + i * step, 12) for i in range(count)]
+        if len(set(values)) != count:
+            raise ValueError(f"pm grid {spec!r} repeats values once rounded to 12 decimals")
+        return values
     return [float(part) for part in spec.split(",") if part]
 
 
@@ -133,12 +137,11 @@ def read_predictions(path: str | Path) -> list[Prediction]:
 
 
 def _adapt_config(args) -> AdaptConfig:
-    k = args.adapt_k if args.adapt_k is not None else 1
-    if args.epochs is not None:
-        epochs = args.epochs
-    else:
-        epochs = 1 if (args.adapt_k is not None or args.ct is not None) else 0
-    return AdaptConfig(k=k, ct=args.ct, epochs=epochs)
+    """k defaults to 1; epochs to 1 when k or ct is given, else 0 (no adaptation)."""
+    epochs = args.epochs
+    if epochs is None:
+        epochs = 1 if args.adapt_k is not None or args.ct is not None else 0
+    return AdaptConfig(k=args.adapt_k or 1, ct=args.ct, epochs=epochs)
 
 
 def _cmd_split(args) -> int:
@@ -210,10 +213,7 @@ def _cmd_sweep(args) -> int:
     dev = load_tsv(args.dev, labeled=True)
     ranges = parse_ranges_spec(args.ranges)
     pms = parse_pms_spec(args.pms)
-    adapt = None
-    if args.adapt_k is not None or args.ct is not None:
-        adapt = _adapt_config(args)
-    result = sweep(train, dev, args.method, ranges, pms, adapt=adapt, jobs=args.jobs)
+    result = sweep(train, dev, args.method, ranges, pms, _adapt_config(args), args.jobs)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(result.to_tsv())
     best = result.rows[0]
@@ -241,15 +241,23 @@ def _cmd_system1(args) -> int:
     test = load_tsv(args.test, labeled=False)
     rng = NgramRange(args.min_n, args.max_n)
     models = build_models(train, rng, args.pm)
-    config = AdaptConfig(k=args.adapt_k, ct=args.ct, epochs=args.epochs)
+    config = _adapt_config(args)
     preds = adaptive_identify(test, models, "nb", config, trace_path=args.trace)
     write_predictions(preds, args.out)
     print(
-        f"system1: nb {rng} pm {args.pm}, adaptation k={args.adapt_k} "
-        f"epochs={args.epochs}; {len(preds)} predictions -> {args.out}",
+        f"system1: nb {rng} pm {args.pm}, adaptation k={config.k} "
+        f"epochs={config.epochs}; {len(preds)} predictions -> {args.out}",
         file=sys.stderr,
     )
     return 0
+
+
+def _add_adapt_args(p: argparse.ArgumentParser, k=None, epochs=None) -> None:
+    """The flags ``_adapt_config`` reads, per subcommand: shared actions share defaults."""
+    p.add_argument("--adapt-k", type=_parse_k, default=k,
+                   help="adaptation splits (integer or 'full')")
+    p.add_argument("--ct", type=float, default=None, help="confidence threshold")
+    p.add_argument("--epochs", type=int, default=epochs, help="adaptation epochs")
 
 
 def build_parser() -> _Parser:
@@ -267,7 +275,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True, help="labeled TSV corpus")
     p.add_argument(
         "--method",
-        choices=("nb", "simple", "sumrf", "heli"),
+        choices=METHODS,
         default="nb",
         help="target method (nb/simple/sumrf share the same model format)",
     )
@@ -292,12 +300,9 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("--in", dest="infile", required=True, help="unlabeled text file")
     p.add_argument("--out", required=True, help="output predictions TSV")
-    p.add_argument("--method", choices=("nb", "simple", "sumrf", "heli"), default=None,
+    p.add_argument("--method", choices=METHODS, default=None,
                    help="scoring method (default: nb, or heli for heli model files)")
-    p.add_argument("--adapt-k", type=_parse_k, default=None,
-                   help="adaptation splits (integer or 'full'); off when omitted")
-    p.add_argument("--ct", type=float, default=None, help="confidence threshold")
-    p.add_argument("--epochs", type=int, default=None, help="adaptation epochs")
+    _add_adapt_args(p)
     p.add_argument("--trace", default=None, help="adoption trace TSV output")
     p.set_defaults(func=_cmd_identify)
 
@@ -310,14 +315,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="grid search over gram ranges and penalties")
     p.add_argument("--train", required=True, help="labeled training TSV")
     p.add_argument("--dev", required=True, help="labeled dev TSV")
-    p.add_argument("--method", choices=("nb", "simple", "sumrf", "heli"), default="nb")
+    p.add_argument("--method", choices=METHODS, default="nb")
     p.add_argument("--ranges", required=True,
                    help="grid, e.g. 2-6,7-10 or all:1-8 for every pair")
     p.add_argument("--pms", default="2.15",
                    help="penalty grid, e.g. 2.1,2.2 or 2.10:2.20:0.01")
-    p.add_argument("--adapt-k", type=_parse_k, default=None, help="adapt during sweep")
-    p.add_argument("--ct", type=float, default=None, help="confidence threshold")
-    p.add_argument("--epochs", type=int, default=None, help="adaptation epochs")
+    _add_adapt_args(p)
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p.add_argument("--out", required=True, help="output TSV of all grid cells")
     p.set_defaults(func=_cmd_sweep)
@@ -337,9 +340,7 @@ def build_parser() -> _Parser:
     p.add_argument("--min-n", type=int, default=SYSTEM1_RANGE.min_n)
     p.add_argument("--max-n", type=int, default=SYSTEM1_RANGE.max_n)
     p.add_argument("--pm", type=float, default=SYSTEM1_PM)
-    p.add_argument("--adapt-k", type=_parse_k, default=SYSTEM1_K)
-    p.add_argument("--ct", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=1)
+    _add_adapt_args(p, k=SYSTEM1_K, epochs=1)
     p.add_argument("--trace", default=None, help="adoption trace TSV output")
     p.set_defaults(func=_cmd_system1)
 

@@ -13,13 +13,11 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .adaptation import AdaptConfig, adaptive_identify
+from .adaptation import ADAPT_METHODS, AdaptConfig, adaptive_identify
 from .corpus import Corpus
 from .heli import HeliConfig, heli_build
 from .ngram import GramGroups, ModelSet, NgramModel, NgramRange, _check_pm, build_models
 from .scorers import Prediction, _nb_length_terms, to_prediction
-
-SWEEP_METHODS = ("simple", "sum_rf", "nb", "heli")
 
 
 @dataclass(frozen=True)
@@ -205,15 +203,14 @@ def _sweep_ranges(args) -> list[SweepRow]:
     else:
         base = build_models(train, union, pms[0])
         dev_grams = {doc.id: GramGroups(base.doc_grams(doc)) for doc in dev}
-    config = adapt or AdaptConfig(epochs=0)
-    if method == "nb" and config.epochs == 0:
+    if method == "nb" and adapt.epochs == 0:
         return _sweep_nb_cells(dev, base, dev_grams, ranges, pms)
     rows = []
     for rng in ranges:
         grams = None if dev_grams is None else {i: g.sliced(rng) for i, g in dev_grams.items()}
         for pm in pms:
-            models = base.with_pm(pm, copy_counts=adapt is not None, rng=rng)
-            preds = adaptive_identify(dev, models, method, config, grams=grams)
+            models = base.with_pm(pm, copy_counts=adapt.epochs > 0, rng=rng)
+            preds = adaptive_identify(dev, models, method, adapt, grams=grams)
             report = evaluate(preds, dev)
             rows.append(SweepRow(method, rng, pm, report.macro_f1, report.micro_f1))
     return rows
@@ -245,8 +242,9 @@ def sweep(
     contiguous groups, each swept the same way in its own worker process;
     the output does not depend on ``jobs``.
     """
-    if method not in SWEEP_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {SWEEP_METHODS}")
+    if method not in ADAPT_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {ADAPT_METHODS}")
+    adapt = adapt or AdaptConfig(epochs=0)  # None: no adaptation
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     range_list = sorted(set(ranges), key=lambda r: (r.min_n, r.max_n))

@@ -40,6 +40,7 @@ from .ngram import (
     NgramModel,
     NgramRange,
     _build,
+    _check_header_keys,
     _check_pm,
     _check_within,
     _parse_flag,
@@ -189,7 +190,8 @@ def heli_build(train: Corpus, config: HeliConfig) -> HeliModelSet:
 
     Counts are folded document by document; totals and penalties are
     computed once per sub-model at the end. Raises for an unlabeled
-    corpus, a label a model file cannot store or a language with no words.
+    corpus, a label a model file cannot store or a language with nothing
+    counted in any enabled domain.
     """
     kinds = config.enabled_kinds()
     subs = _build(train, "heli_build", kinds, config.pm, lambda norm: _doc_items(norm, config))
@@ -354,6 +356,7 @@ def save_heli_models(models: HeliModelSet, path: str | Path) -> None:
 
 def parse_heli_models(path: Path, header: dict, rows: list) -> HeliModelSet:
     """Build a model set from a file split by ``_read_model_lines``."""
+    _check_header_keys(path, header, "lnr", "onr", "lw", "ow")
     pm = _parse_pm(path, header)
     try:
         config = HeliConfig(

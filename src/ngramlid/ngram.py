@@ -309,26 +309,26 @@ def _build(
     ``doc_items`` maps a normalized document to ``(kind, items, length)``
     triples, folded as ``NgramModel.count_grams`` folds them; every model
     is refreshed once at the end. Raises if the corpus is unlabeled, if a
-    label cannot be stored in a model file, or if a label's documents
-    normalize to zero words, since its models would be empty.
+    label cannot be stored in a model file, or if nothing at all was
+    counted for a label (no words, or no item of any enabled kind): an
+    empty model would win every document on penalty 0, and a model file
+    would hold no row for it.
     """
     if not train.labeled:
         raise ValueError(f"{name} requires a labeled corpus")
     languages = sorted(train.label_set)
     _check_labels(languages)
     subs = {kind: {lang: NgramModel(lang, pm) for lang in languages} for kind in kinds}
-    words_seen: Counter = Counter()
     for doc in train:
         norm = normalize(doc.text, concatenate=concatenate)
-        words_seen[doc.label] += len(norm.words)
         for kind, items, length in doc_items(norm):
             subs[kind][doc.label].count_grams(items, length)
-    for lang in languages:
-        if not words_seen[lang]:
-            raise ValueError(f"language {lang!r}: no words after normalization")
     for by_lang in subs.values():
         for model in by_lang.values():
             model.refresh()
+    for lang in languages:
+        if not any(any(by_lang[lang].totals.values()) for by_lang in subs.values()):
+            raise ValueError(f"language {lang!r}: nothing counted in its training documents")
     return subs
 
 
@@ -343,8 +343,8 @@ def build_models(
     """Accumulate per-language gram counts over a labeled training corpus.
 
     Raises for an unlabeled corpus, a label a model file cannot store, a
-    language with no words, or a penalty modifier that is not positive
-    and finite.
+    language with no gram in ``rng``, or a penalty modifier that is not
+    positive and finite.
     """
     _check_pm(pm)
 
@@ -440,6 +440,15 @@ def _read_model_lines(path: Path) -> tuple[dict[str, str], list[str]]:
     if header.get("log", "natural") != "natural":
         raise ModelIOError(f"{path}: unsupported log base {header['log']!r}")
     return header, lines
+
+
+def _check_header_keys(path: Path, header: dict[str, str], *kind_keys: str) -> None:
+    """Reject a header key that neither every model file (version, pm,
+    log) nor the file's kind defines: the reader would drop it, and the
+    setting it meant to state would silently take its default."""
+    for key in header:
+        if key not in ("version", "pm", "log") + kind_keys:
+            raise ModelIOError(f"{path}: unknown header #{key}")
 
 
 def _parse_pm(path: Path, header: dict[str, str]) -> float:
@@ -548,6 +557,7 @@ def is_heli_model_file(header: dict[str, str], rows: list[str]) -> bool:
 
 def parse_models(path: Path, header: dict, rows: list) -> ModelSet:
     """Build a model set from a file split by ``_read_model_lines``."""
+    _check_header_keys(path, header, "range", "lowercase", "pad", "concat")
     pm = _parse_pm(path, header)
     try:
         rng = _parse_range_header(header["range"])

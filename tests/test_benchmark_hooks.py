@@ -1,15 +1,18 @@
-"""The library functions the benchmark calls and traces by name.
+"""The library functions the benchmark calls and traces by name, and one
+traced benchmark run.
 
 ``perfbench/run.py`` loads models through ``cli._load_any_models``, and
 ``perfbench/tracing.py`` wraps library functions by name; a per-layer
 metric whose function is gone counts as a failed benchmark operation.
-These checks catch a refactor that drops such a name, without a
-benchmark run.
+The first checks catch a refactor that drops such a name without a
+benchmark run; the smoke run checks the pinned seed-1 output digests
+and the oracle sample of one workload end to end. It gates no time.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +54,16 @@ def test_model_dispatcher_returns_each_kind(tracer, tmp_path, make_corpus):
     assert isinstance(models, HeliModelSet) and method == "heli"
     traced = {span[0] for span in tracer.spans}
     assert {"ngram.is_heli_model_file", "ngram.parse_models", "heli.parse_heli_models"} <= traced
+
+
+def test_traced_sweep_workload_run_is_correct():
+    # the smallest workload; the seed-1 digests in perfbench/expected.json
+    # pin its sweep TSV, model file and predictions
+    run = subprocess.run(
+        [sys.executable, "-B", "perfbench/run.py", "--workload", "sweep-4lang",
+         "--seed", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), run.stdout

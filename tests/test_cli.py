@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ngramlid import cli
+from ngramlid.adaptation import AdaptConfig
 from ngramlid.cli import _load_any_models, main, parse_pms_spec, parse_ranges_spec
 from ngramlid.heli import save_heli_models
 from ngramlid.ngram import NgramRange, save_models
@@ -223,6 +224,74 @@ def test_sweep_oversized_pm_grid_exits_2_at_once(tmp_path, corpus_file, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["1:1.000000000001:1e-13", "2.15:2.15000000000001:1e-15"])
+def test_sweep_pm_grid_with_repeated_values_exits_2(tmp_path, corpus_file, capsys, spec):
+    # values are rounded to 12 decimals, so a finer step repeats them and
+    # the grid would silently shrink
+    with pytest.raises(ValueError, match="repeats values"):
+        parse_pms_spec(spec)
+    train, dev = _split(tmp_path, corpus_file)
+    out = tmp_path / "sweep.tsv"
+    assert main(["sweep", "--train", str(train), "--dev", str(dev), "--method", "nb",
+                 "--ranges", "1-2", "--pms", spec, "--out", str(out)]) == 2
+    assert "repeats values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_adaptation_defaults_per_command():
+    # each subcommand declares its own flags: system1's defaults must not
+    # become identify's or sweep's, whatever order they are parsed in
+    parser = cli.build_parser()
+    argv = {
+        "system1": ["system1", "--train", "t", "--test", "x", "--out", "o"],
+        "identify": ["identify", "--model", "m", "--in", "x", "--out", "o"],
+        "sweep": ["sweep", "--train", "t", "--dev", "d", "--ranges", "1-2", "--out", "o"],
+    }
+    configs = {name: cli._adapt_config(parser.parse_args(args)) for name, args in argv.items()}
+    assert configs == {
+        "system1": AdaptConfig(k=20, epochs=1),
+        "identify": AdaptConfig(k=1, epochs=0),
+        "sweep": AdaptConfig(k=1, epochs=0),
+    }
+
+
+def test_sweep_epochs_alone_adapts_as_identify_does(tmp_path, corpus_file, monkeypatch):
+    # --epochs without --adapt-k means k=1, as for identify; it used to be
+    # dropped, and the sweep ran without adaptation
+    train, dev = _split(tmp_path, corpus_file)
+    seen, real_sweep = [], cli.sweep
+
+    def spy(*args):
+        seen.append(args[5])  # the adaptation setting
+        return real_sweep(*args)
+
+    monkeypatch.setattr(cli, "sweep", spy)
+    base = ["sweep", "--train", str(train), "--dev", str(dev), "--method", "nb",
+            "--ranges", "1-2,2-3", "--pms", "1.5,2.0"]
+    out_epochs, out_k = tmp_path / "epochs.tsv", tmp_path / "k.tsv"
+    assert main(base + ["--epochs", "2", "--out", str(out_epochs)]) == 0
+    assert main(base + ["--adapt-k", "1", "--epochs", "2", "--out", str(out_k)]) == 0
+    assert seen == [AdaptConfig(k=1, epochs=2)] * 2
+    assert out_epochs.read_bytes() == out_k.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["identify", "sweep", "system1"])
+def test_negative_epochs_exit_2(tmp_path, corpus_file, capsys, command):
+    train, dev = _split(tmp_path, corpus_file)
+    test_file = _strip_labels(tmp_path, dev)
+    model, out = tmp_path / "model.tsv", tmp_path / "out.tsv"
+    assert main(["train", "--in", str(train), "--model", str(model)]) == 0
+    argv = {
+        "identify": ["identify", "--model", str(model), "--in", str(test_file)],
+        "sweep": ["sweep", "--train", str(train), "--dev", str(dev), "--ranges", "1-2"],
+        "system1": ["system1", "--train", str(train), "--test", str(test_file)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out), "--epochs", "-1"]) == 2
+    assert "epochs must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_system1_smoke(tmp_path, corpus_file):
     train, dev = _split(tmp_path, corpus_file)
     test_file = _strip_labels(tmp_path, dev)
@@ -314,6 +383,37 @@ def test_label_a_model_file_cannot_store_exits_2(tmp_path, capsys, method, lines
     assert main(["train", "--in", str(corpus), "--method", method, "--model", str(model)]) == 2
     assert "label" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("method", ["nb", "heli"])
+def test_train_language_with_nothing_counted_exits_2(tmp_path, capsys, method):
+    # B's words are shorter than any 4-gram: its empty model would win
+    # every document, and the model file would have no row for it
+    corpus = tmp_path / "train.tsv"
+    corpus.write_text("abcde fghij\tA\nx y z\tB\n", encoding="utf-8")
+    model = tmp_path / "m.tsv"
+    grams = (["--min-n", "4", "--max-n", "5"] if method == "nb"
+             else ["--method", "heli", "--lnr", "4-5", "--onr", "4-5", "--lw", "n", "--ow", "n"])
+    assert main(["train", "--in", str(corpus), "--model", str(model)] + grams) == 2
+    assert "language 'B': nothing counted" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("method", ["nb", "heli"])
+def test_unknown_model_header_exits_2(tmp_path, corpus_file, capsys, method):
+    train, dev = _split(tmp_path, corpus_file)
+    model = tmp_path / "model.tsv"
+    assert main(["train", "--in", str(train), "--method", method, "--model", str(model)]) == 0
+    test_file = _strip_labels(tmp_path, dev)
+    identify = ["identify", "--model", str(model), "--in", str(test_file),
+                "--out", str(tmp_path / "p.tsv")]
+    text = model.read_text(encoding="utf-8")
+    # a misspelt flag of the file's own kind, or the other kind's flag
+    for header in ("#lowercas 0", "#pad 1") if method == "heli" else ("#lowercas 0", "#padd 0"):
+        model.write_text(text.replace("#version 1\n", f"#version 1\n{header}\n"), "utf-8")
+        capsys.readouterr()
+        assert main(identify) == 2
+        assert f"unknown header {header.split()[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["nb", "heli"])

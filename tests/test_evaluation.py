@@ -17,9 +17,10 @@ from ngramlid import (
     heli_build,
     sweep,
 )
+from ngramlid.adaptation import ADAPT_METHODS
 from ngramlid.corpus import Corpus, Document, ordered_split
 from ngramlid import evaluation
-from ngramlid.evaluation import SWEEP_METHODS, SweepResult, SweepRow
+from ngramlid.evaluation import SweepResult, SweepRow
 from ngramlid.ngram import GramGroups
 from ngramlid.scorers import _nb_length_terms, score_with, to_prediction
 from ngramlid.synth import generate, spec_from_dict
@@ -260,7 +261,7 @@ def _reference_sweep(train, dev, method, ranges, pms, adapt):
 @pytest.mark.parametrize(
     "adapt", [None, AdaptConfig(k=3), AdaptConfig(k=3, epochs=0)], ids=["plain", "adapt", "epochs0"]
 )
-@pytest.mark.parametrize("method", SWEEP_METHODS)
+@pytest.mark.parametrize("method", ADAPT_METHODS)
 def test_sweep_equals_per_range_builds(synth_task, method, adapt):
     train, dev = synth_task
     pms = [1.2, 2.15]
@@ -300,6 +301,29 @@ def test_adaptation_sweep_leaves_the_shared_build_unchanged(synth_task, monkeypa
             assert after.counts == model.counts
             assert after.totals == model.totals
             assert after.penalties == model.penalties
+
+
+@pytest.mark.parametrize("method", ["simple", "sum_rf", "heli"])
+def test_sweep_without_epochs_shares_the_union_counts(synth_task, monkeypatch, method):
+    # epochs=0 never folds a document, so no cell copies the union build's
+    # counts, whatever k is; it used to copy them whenever adapt was given
+    train, dev = synth_task
+    built = _capture_builds(monkeypatch)
+    cells = []
+
+    def scored(test, models, *args, **kwargs):
+        cells.append(models)
+        return adaptive_identify(test, models, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "adaptive_identify", scored)
+    sweep(train, dev, method, GRID, [1.5, 2.15], adapt=AdaptConfig(k=3, epochs=0))
+    base = built[0][0]
+    assert len(cells) == len(GRID) * (2 if method == "heli" else 1)
+    for cell in cells:
+        for kind, by_lang in cell.submodels.items():
+            for lang, model in by_lang.items():
+                for n, counts in model.counts.items():
+                    assert counts is base.submodels[kind][lang].counts[n]
 
 
 def test_sweep_parallel_jobs_match_serial(synth_task):

@@ -347,6 +347,19 @@ def test_load_rejects_repeated_header(tmp_path):
         load_heli_models(path)
 
 
+@pytest.mark.parametrize("header", ["#pad 1", "#range 2 3", "#lowercase 0", "#onrr 2 3"])
+def test_load_rejects_unknown_header_keys(tmp_path, header):
+    # gram-file keys and misspelt keys: nothing a heli file defines
+    path = tmp_path / "heli.tsv"
+    path.write_text(
+        f"#version 1\n#pm 1.0\n#log natural\n#lnr 2 3\n#onr -\n#lw 1\n#ow 0\n{header}\n"
+        "A\twordL\t0\tab\t1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelIOError, match=f"unknown header {header.split()[0]}"):
+        load_heli_models(path)
+
+
 @pytest.mark.parametrize("pm", ["-1", "nan", "inf"])
 def test_load_rejects_bad_pm_header(tmp_path, pm):
     path = tmp_path / "heli.tsv"

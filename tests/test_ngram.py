@@ -97,6 +97,25 @@ def test_build_models_rejects_wordless_language(make_corpus):
         heli_build(corpus, config)
 
 
+def test_builds_reject_a_language_with_nothing_counted(tmp_path, make_corpus):
+    # B has words but none long enough for a 4-gram: its empty model
+    # scored penalty 0 and won every nb document, A's own text included,
+    # and a model file held no row for it
+    corpus = make_corpus([("abcde fghij", "A"), ("x y z", "B")])
+    with pytest.raises(ValueError, match="language 'B': nothing counted"):
+        build_models(corpus, NgramRange(4, 5), pm=2.0)
+    grams_only = HeliConfig(
+        lnr=NgramRange(4, 5), onr=NgramRange(4, 5), lw=False, ow=False, pm=2.0
+    )
+    with pytest.raises(ValueError, match="language 'B': nothing counted"):
+        heli_build(corpus, grams_only)
+    # with a word domain B's words are counted, and it survives a model file
+    path = tmp_path / "heli.tsv"
+    with_words = HeliConfig(lnr=NgramRange(4, 5), onr=None, lw=True, ow=False, pm=2.0)
+    save_heli_models(heli_build(corpus, with_words), path)
+    assert load_heli_models(path).languages == ["A", "B"]
+
+
 def test_build_models_rejects_unlabeled(make_unlabeled):
     with pytest.raises(ValueError, match="build_models requires a labeled corpus"):
         build_models(make_unlabeled(["a"]), NgramRange(1, 1), pm=1.0)
@@ -455,6 +474,17 @@ def test_load_rejects_malformed_row_lines(tmp_path, rows, problem):
     path = tmp_path / "model.tsv"
     path.write_text("#version 1\n#range 2 2\n#pm 1.0\n#log natural\n" + rows, "utf-8")
     with pytest.raises(ModelIOError, match=problem):
+        load_models(path)
+
+
+@pytest.mark.parametrize("header", ["#lowercas 0", "#padd 0", "#lnr 2 3", "#ow 1"])
+def test_load_rejects_unknown_header_keys(tmp_path, header):
+    # a misspelt flag used to be dropped, so its setting took its default
+    path = tmp_path / "model.tsv"
+    path.write_text(
+        f"#version 1\n#range 2 2\n#pm 1.0\n#log natural\n{header}\nA\t2\tab\t1\n", "utf-8"
+    )
+    with pytest.raises(ModelIOError, match=f"unknown header {header.split()[0]}"):
         load_models(path)
 
 
