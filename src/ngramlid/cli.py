@@ -3,6 +3,18 @@
 Wires the library into a train / identify / evaluate pipeline over TSV
 files. All diagnostics go to stderr; data outputs never mix with them.
 Exit codes: 0 success, 1 usage error, 2 data or model error.
+
+A flag value that does not parse as its type (a non-integer
+``--adapt-k`` or ``--epochs``, a non-number ``--ct`` or ``--pm``) is a
+usage error, exit 1. A value that parses but is out of range for the
+model or the adaptation (``--adapt-k 0``, ``--epochs -1``, ``--ct -1``,
+``--pm 0``) is a data error, exit 2, as the same value in a model file
+or a library call is. The exceptions: ``--jobs`` below 1 is a usage
+error, since it sets how a sweep runs rather than what it computes; the
+heli ranges ``--lnr`` and ``--onr`` are checked as they are parsed, so
+an out-of-range one is a usage error too; and the sweep grids
+``--ranges`` and ``--pms`` are read whole by the command, so any bad
+grid is a data error.
 """
 
 from __future__ import annotations
@@ -77,7 +89,13 @@ def _positive_int(value: str) -> int:
 
 
 def _parse_k(value: str) -> int | str:
-    return FULL if value.lower() == FULL else _positive_int(value)
+    """An integer or ``full``; ``AdaptConfig`` checks its range."""
+    if value.lower() == FULL:
+        return FULL
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or {FULL!r}, got {value!r}")
 
 
 def parse_ranges_spec(spec: str) -> list[NgramRange]:
@@ -141,7 +159,8 @@ def _adapt_config(args) -> AdaptConfig:
     epochs = args.epochs
     if epochs is None:
         epochs = 1 if args.adapt_k is not None or args.ct is not None else 0
-    return AdaptConfig(k=args.adapt_k or 1, ct=args.ct, epochs=epochs)
+    k = 1 if args.adapt_k is None else args.adapt_k
+    return AdaptConfig(k=k, ct=args.ct, epochs=epochs)
 
 
 def _cmd_split(args) -> int:

@@ -97,29 +97,36 @@ def load_tsv(path: str | Path, labeled: bool = True) -> Corpus:
     """Load a corpus from a UTF-8 TSV file.
 
     In labeled mode each line must be ``text<TAB>label``; in unlabeled
-    mode the whole line is the text. Both LF and CRLF line endings are
-    accepted. Raises :class:`CorpusError` on an empty file or, in
-    labeled mode, on a line with the wrong number of fields or an empty
-    label.
+    mode the whole line is the text. Lines end at LF only, and a carriage
+    return right at the end of a line (a CRLF ending) is dropped; a
+    carriage return anywhere else is part of the line (a non-word
+    character of its text), so it never splits a document or shifts the
+    ids and line numbers after it. Raises :class:`CorpusError` on an
+    empty file or, in labeled mode, on a line with the wrong number of
+    fields or an empty label.
     """
     path = Path(path)
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n").rstrip("\r")
-            if labeled:
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise CorpusError(
-                        f"{path}: line {lineno + 1}: expected 2 tab-separated "
-                        f"fields, got {len(fields)}"
-                    )
-                text, label = fields
-                if not label:
-                    raise CorpusError(f"{path}: line {lineno + 1}: empty label")
-                docs.append(Document(id=lineno, text=text, label=label))
-            else:
-                docs.append(Document(id=lineno, text=line, label=None))
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty text after the final line feed
+    for lineno, line in enumerate(lines):
+        if line.endswith("\r"):
+            line = line[:-1]
+        if labeled:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise CorpusError(
+                    f"{path}: line {lineno + 1}: expected 2 tab-separated "
+                    f"fields, got {len(fields)}"
+                )
+            text, label = fields
+            if not label:
+                raise CorpusError(f"{path}: line {lineno + 1}: empty label")
+            docs.append(Document(id=lineno, text=text, label=label))
+        else:
+            docs.append(Document(id=lineno, text=line, label=None))
     if not docs:
         raise CorpusError(f"{path}: empty corpus file")
     return Corpus(docs=tuple(docs))

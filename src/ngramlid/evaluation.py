@@ -234,9 +234,10 @@ def sweep(
     ``-log`` frequencies and absent grams' multiplicities. Each cell then
     only charges its penalties and sums its range's lengths with
     ``math.fsum``, which gives the bits of a direct score. Every pm is
-    checked before anything is built. The penalty grid is ignored for
-    the two methods that never smooth. Rows come back sorted by macro
-    F1 descending, ties by (range.min_n, range.max_n, pm) ascending;
+    checked before anything is built, for every method. The two methods
+    that never smooth (simple, sum_rf) then sweep one cell per range,
+    reported with pm 1.0, whatever the grid holds. Rows come back sorted
+    by macro F1 descending, ties by (range.min_n, range.max_n, pm) ascending;
     repeated runs produce identical output. With ``jobs`` (at least 1)
     above 1, the sorted ranges are split into ``min(jobs, ranges)``
     contiguous groups, each swept the same way in its own worker process;
@@ -250,9 +251,9 @@ def sweep(
     range_list = sorted(set(ranges), key=lambda r: (r.min_n, r.max_n))
     if not range_list:
         raise ValueError("sweep grid has no n-gram ranges")
+    for pm in pms:  # every method, before any build, not when the pm's cell is reached
+        _check_pm(pm)
     if method in ("nb", "heli"):
-        for pm in pms:  # before any build, not when the pm's cell is reached
-            _check_pm(pm)
         pm_list = sorted(set(pms))
         if not pm_list:
             raise ValueError("sweep grid has no penalty modifiers")

@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .corpus import Corpus, Document, NormalizedText, normalize
 from .ngram import (
@@ -43,13 +44,13 @@ from .ngram import (
     _check_header_keys,
     _check_pm,
     _check_within,
+    _grams_by_length,
     _parse_flag,
     _parse_pm,
     _parse_range_header,
     _parse_rows,
     _read_model_lines,
     _write_model_file,
-    extract_ngrams,
 )
 from .scorers import Prediction, to_prediction
 
@@ -163,35 +164,31 @@ def _union(by_lang: dict[str, NgramModel]) -> dict[int, set[str]]:
     return known
 
 
-def _add_known(known: dict[int, set[str]], items: Counter, length: int | None) -> None:
-    """Add one fold's items to a kind's index, keyed as ``add_grams`` keys them."""
-    for item in items:
-        n = len(item) if length is None else length
-        at_n = known.get(n)
-        if at_n is None:
-            known[n] = {item}
+def _doc_items(
+    norm: NormalizedText, config: HeliConfig
+) -> Iterator[tuple[str, int, Sequence[str]]]:
+    """``(kind, length, items)`` of one normalized document, per enabled
+    domain and length, with multiplicity: a word domain's words under
+    length 0, a gram domain's grams one length at a time. Empty item
+    lists are left out."""
+    for kind, rng, lower in config._domains:
+        words = norm.lowercased if lower else norm.words
+        if rng is None:
+            if words:
+                yield kind, WORD_LENGTH_KEY, words
         else:
-            at_n.add(item)
-
-
-def _doc_items(norm: NormalizedText, config: HeliConfig) -> list[tuple]:
-    """``(kind, items, length key)`` of one normalized document per enabled
-    domain; gram items are keyed by their own length (None)."""
-    return [
-        (kind, Counter(norm.lowercased if lower else norm.words), WORD_LENGTH_KEY)
-        if rng is None
-        else (kind, extract_ngrams(norm, rng, lowercase=lower), None)
-        for kind, rng, lower in config._domains
-    ]
+            for n, grams in _grams_by_length(words, rng):
+                yield kind, n, grams
 
 
 def heli_build(train: Corpus, config: HeliConfig) -> HeliModelSet:
     """Count words and grams per language over a labeled corpus.
 
-    Counts are folded document by document; totals and penalties are
-    computed once per sub-model at the end. Raises for an unlabeled
-    corpus, a label a model file cannot store or a language with nothing
-    counted in any enabled domain.
+    Each document's words, and its grams one length at a time, go into
+    one counter per (kind, language, length) (``ngram._build``); totals
+    and penalties are computed once per sub-model at the end. Raises for
+    an unlabeled corpus, a label a model file cannot store or a language
+    with nothing counted in any enabled domain.
     """
     kinds = config.enabled_kinds()
     subs = _build(train, "heli_build", kinds, config.pm, lambda norm: _doc_items(norm, config))
@@ -201,7 +198,8 @@ def heli_build(train: Corpus, config: HeliConfig) -> HeliModelSet:
 def heli_add_document(
     models: HeliModelSet, doc: Document, language: str, *, norm: NormalizedText | None = None
 ) -> HeliModelSet:
-    """Fold one document into a language's sub-models, in place.
+    """Fold one document into a language's sub-models, in place, one kind
+    and length at a time.
 
     Totals and penalties are updated for the lengths the document touches,
     and the known-items index, once built, gains the document's items.
@@ -212,11 +210,10 @@ def heli_add_document(
     if norm is None:
         norm = normalize(doc.text)
     known = models._known
-    for kind, items, length in _doc_items(norm, models.config):
-        if items:
-            models.submodels[kind][language].add_grams(items, length)
-            if known is not None:
-                _add_known(known[kind], items, length)
+    for kind, length, items in _doc_items(norm, models.config):
+        models.submodels[kind][language].add_grams(Counter(items), length)
+        if known is not None:
+            known[kind].setdefault(length, set()).update(items)
     return models
 
 

@@ -5,6 +5,12 @@ extraction, so word-initial and word-final grams are distinct from
 word-internal ones. Models keep raw counts and totals per gram length;
 the relative frequency of a gram of length L is count / totals[L].
 
+Extraction runs one gram length at a time over all of a text's padded
+words (``_grams_by_length``). A training build feeds each document's
+per-length gram lists straight into one ``Counter`` per language and
+length, and turns each into the model's dict once at the end;
+adaptation folds a document at a time with ``NgramModel.add_grams``.
+
 The smoothing value for a gram absent from a model ("penalty") is the
 negative natural log of a gram that would appear exactly once,
 multiplied by a penalty modifier:
@@ -18,10 +24,10 @@ of the same formula (totals of 1 also yields 0).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus, Document, NormalizedText, normalize
 
@@ -103,6 +109,24 @@ class NgramRange:
         raise ValueError(f"bad n-gram range spec {spec!r}")
 
 
+def _grams_by_length(
+    words: Sequence[str], rng: NgramRange, pad: bool = True
+) -> Iterator[tuple[int, list[str]]]:
+    """``(length, grams)`` for each gram length in ``rng``, ascending: every
+    contiguous substring of that length of every (padded) word, with
+    multiplicity, in word order.
+
+    A word ``w`` becomes ``" w "`` unless ``pad`` is off. Lengths that no
+    word reaches are not yielded: the stream stops at the first empty one.
+    """
+    padded = [f" {w} " for w in words] if pad else words
+    for n in range(rng.min_n, rng.max_n + 1):
+        grams = [s[i : i + n] for s in padded for i in range(len(s) - n + 1)]
+        if not grams:
+            return
+        yield n, grams
+
+
 def extract_ngrams(
     norm: NormalizedText,
     rng: NgramRange,
@@ -114,15 +138,13 @@ def extract_ngrams(
     Every word ``w`` becomes ``" w "`` (unless ``pad`` is off) and all
     contiguous substrings with lengths in ``rng`` are emitted with
     multiplicity; a single word of length L yields max(0, L+3-n) grams
-    of length n.
+    of length n. Grams come in ascending length order, and in word order
+    within a length.
     """
     words = norm.lowercased if lowercase else norm.words
     grams: list[str] = []
-    for w in words:
-        s = f" {w} " if pad else w
-        ls = len(s)
-        for n in range(rng.min_n, min(rng.max_n, ls) + 1):
-            grams += [s[i : i + n] for i in range(ls - n + 1)]
+    for _, items in _grams_by_length(words, rng, pad):
+        grams += items
     return Counter(grams)
 
 
@@ -204,20 +226,6 @@ class NgramModel:
             total = self.totals.get(n, 0) + _fold(self.counts.setdefault(n, {}), pairs)
             self.totals[n] = total
             self.penalties[n] = _penalty(pm, total)
-
-    def count_grams(self, grams: Counter, length: int | None = None) -> None:
-        """Fold raw counts only, as ``add_grams`` does but leaving totals
-        and penalties stale.
-
-        Bulk builds fold every training document this way and call
-        ``refresh`` once per model at the end.
-        """
-        if length is not None:
-            _fold(self.counts.setdefault(length, {}), grams.items())
-            return
-        for gram, c in grams.items():
-            by_len = self.counts.setdefault(len(gram), {})
-            by_len[gram] = by_len.get(gram, 0) + c
 
     def refresh(self) -> None:
         """Recompute totals and penalties from the raw counts."""
@@ -304,27 +312,37 @@ class ModelSet:
 def _build(
     train: Corpus, name: str, kinds: Iterable[str], pm: float, doc_items, concatenate: bool = False
 ) -> dict[str, dict[str, NgramModel]]:
-    """Count items per (kind, language) over a labeled training corpus.
+    """Count items per (kind, language, length) over a labeled training corpus.
 
-    ``doc_items`` maps a normalized document to ``(kind, items, length)``
-    triples, folded as ``NgramModel.count_grams`` folds them; every model
-    is refreshed once at the end. Raises if the corpus is unlabeled, if a
-    label cannot be stored in a model file, or if nothing at all was
-    counted for a label (no words, or no item of any enabled kind): an
-    empty model would win every document on penalty 0, and a model file
-    would hold no row for it.
+    ``doc_items`` maps a normalized document to ``(kind, length, items)``
+    triples, one per kind and length, where ``items`` is a non-empty raw
+    list (or tuple) of items with multiplicity. Each is folded into one
+    ``Counter`` per (kind, language, length) with ``Counter.update``, which
+    counts in C; at the end each length's counter becomes the model's
+    plain dict, one length at a time, and every model is refreshed once.
+    Raises if the corpus is unlabeled, if a label cannot be stored in a
+    model file, or if nothing at all was counted for a label (no words,
+    or no item of any enabled kind): an empty model would win every
+    document on penalty 0, and a model file would hold no row for it.
     """
     if not train.labeled:
         raise ValueError(f"{name} requires a labeled corpus")
     languages = sorted(train.label_set)
     _check_labels(languages)
-    subs = {kind: {lang: NgramModel(lang, pm) for lang in languages} for kind in kinds}
+    tallies: dict[str, dict[str, defaultdict[int, Counter]]] = {
+        kind: {lang: defaultdict(Counter) for lang in languages} for kind in kinds
+    }
     for doc in train:
         norm = normalize(doc.text, concatenate=concatenate)
-        for kind, items, length in doc_items(norm):
-            subs[kind][doc.label].count_grams(items, length)
-    for by_lang in subs.values():
-        for model in by_lang.values():
+        for kind, n, items in doc_items(norm):
+            tallies[kind][doc.label][n].update(items)
+    subs: dict[str, dict[str, NgramModel]] = {}
+    for kind, by_lang in tallies.items():
+        subs[kind] = {}
+        for lang, by_len in by_lang.items():
+            model = subs[kind][lang] = NgramModel(lang, pm)
+            for n in list(by_len):  # pop as we go: one length's counter and dict at a time
+                model.counts[n] = dict(by_len.pop(n))
             model.refresh()
     for lang in languages:
         if not any(any(by_lang[lang].totals.values()) for by_lang in subs.values()):
@@ -348,8 +366,10 @@ def build_models(
     """
     _check_pm(pm)
 
-    def doc_items(norm: NormalizedText) -> list:
-        return [(GRAMS, extract_ngrams(norm, rng, lowercase, pad), None)]
+    def doc_items(norm: NormalizedText) -> Iterator[tuple[str, int, list[str]]]:
+        words = norm.lowercased if lowercase else norm.words
+        for n, grams in _grams_by_length(words, rng, pad):
+            yield GRAMS, n, grams
 
     models = _build(train, "build_models", [GRAMS], pm, doc_items, concatenate)[GRAMS]
     return ModelSet(models, rng, pm, lowercase, pad, concatenate)

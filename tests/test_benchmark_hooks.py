@@ -5,7 +5,10 @@ traced benchmark run.
 ``perfbench/tracing.py`` wraps library functions by name; a per-layer
 metric whose function is gone counts as a failed benchmark operation.
 The first checks catch a refactor that drops such a name without a
-benchmark run; the smoke run checks the pinned seed-1 output digests
+benchmark run. The traced-build check runs both builders and
+``extract_ngrams`` under the tracer and reads its memory replay and
+summary, whose hooks read the functions' results (``extract_ngrams``
+must return a Counter). The smoke run checks the pinned seed-1 output digests
 and the oracle sample of one workload end to end. It gates no time.
 """
 
@@ -14,11 +17,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ngramlid import cli
+from ngramlid import cli, heli, ngram
+from ngramlid.corpus import normalize
 from ngramlid.heli import HeliConfig, HeliModelSet, heli_build, save_heli_models
 from ngramlid.ngram import ModelSet, NgramRange, build_models, save_models
 
@@ -54,6 +59,25 @@ def test_model_dispatcher_returns_each_kind(tracer, tmp_path, make_corpus):
     assert isinstance(models, HeliModelSet) and method == "heli"
     traced = {span[0] for span in tracer.spans}
     assert {"ngram.is_heli_model_file", "ngram.parse_models", "heli.parse_heli_models"} <= traced
+
+
+def test_traced_builds_and_extraction_keep_the_hooks_working(tracer, make_corpus):
+    # the tracer patched the module attributes, so call through them
+    corpus = make_corpus([("ab cdé", "A"), ("Ef gh ef", "B"), ("", "B")])
+    ngram.build_models(corpus, NgramRange(1, 3), 2.0)
+    config = HeliConfig(lnr=NgramRange(1, 3), onr=NgramRange(2, 3), lw=True, ow=True, pm=2.0)
+    heli.heli_build(corpus, config)
+    grams = ngram.extract_ngrams(normalize("ab cdé ab"), NgramRange(1, 3))
+    assert isinstance(grams, Counter)
+    assert sum(grams.values()) == 9 + 12 + 9  # " ab ", " cdé ", " ab " at lengths 1-3
+    peaks = tracer.replay_peaks()
+    assert peaks["ngram.build_models.peak_mb"] > 0
+    assert peaks["heli.heli_build.peak_mb"] > 0
+    summary = tracer.summary()
+    # builds count their grams without the public extraction function
+    assert summary["ngram.extract_ngrams.grams"] == 30
+    assert summary["ngram.refresh.counts_summed"] > 0
+    assert summary["ngram.build_models.s"] > 0 and summary["heli.heli_build.s"] > 0
 
 
 def test_traced_sweep_workload_run_is_correct():

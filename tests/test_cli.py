@@ -292,6 +292,52 @@ def test_negative_epochs_exit_2(tmp_path, corpus_file, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["identify", "sweep", "system1"])
+def test_adapt_k_out_of_range_exits_2(tmp_path, corpus_file, capsys, command):
+    # --adapt-k parses any integer; AdaptConfig rejects the range, as it
+    # does for --epochs and --ct (argparse used to refuse these with exit 1)
+    train, dev = _split(tmp_path, corpus_file)
+    test_file = _strip_labels(tmp_path, dev)
+    model, out = tmp_path / "model.tsv", tmp_path / "out.tsv"
+    assert main(["train", "--in", str(train), "--model", str(model)]) == 0
+    argv = {
+        "identify": ["identify", "--model", str(model), "--in", str(test_file)],
+        "sweep": ["sweep", "--train", str(train), "--dev", str(dev), "--ranges", "1-2"],
+        "system1": ["system1", "--train", str(train), "--test", str(test_file)],
+    }[command]
+    for k in ("0", "-3"):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out), "--adapt-k", k]) == 2
+        assert "k must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["abc", "2.5", ""])
+def test_adapt_k_that_does_not_parse_exits_1(capsys, k):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["identify", "--model", "m.tsv", "--in", "x.txt", "--out", "o.tsv",
+              "--adapt-k", k])
+    assert excinfo.value.code == 1
+    assert "argument --adapt-k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["simple", "sumrf"])
+def test_sweep_unsmoothed_method_checks_the_pm_grid(tmp_path, corpus_file, capsys, method):
+    # simple and sum_rf never smooth, but a malformed grid is still an error
+    train, dev = _split(tmp_path, corpus_file)
+    out = tmp_path / "sweep.tsv"
+    base = ["sweep", "--train", str(train), "--dev", str(dev), "--method", method,
+            "--ranges", "1-2,2-3", "--out", str(out)]
+    for pms in ("nan,-3", "2.0,0", "inf"):
+        capsys.readouterr()
+        assert main(base + ["--pms", pms]) == 2
+        assert "penalty modifier must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(base + ["--pms", "1.5,2.0,2.5"]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split("\t")[3] for row in rows] == ["1.0", "1.0"]  # one row per range
+
+
 def test_system1_smoke(tmp_path, corpus_file):
     train, dev = _split(tmp_path, corpus_file)
     test_file = _strip_labels(tmp_path, dev)

@@ -51,6 +51,27 @@ def test_load_tsv_accepts_crlf(tmp_path):
     assert [d.label for d in corpus] == ["tam", "mal"]
 
 
+def test_load_tsv_lone_carriage_return_does_not_split_a_line(tmp_path):
+    # 2 lines as wc -l counts them; universal newlines made 3 documents of it
+    path = tmp_path / "test.txt"
+    path.write_bytes(b"ab\rcd\nef\n")
+    corpus = load_tsv(path, labeled=False)
+    assert [(d.id, d.text) for d in corpus] == [(0, "ab\rcd"), (1, "ef")]
+    assert normalize(corpus.docs[0].text).words == ("ab", "cd")
+    path.write_bytes(b"ab\rcd\r\nef\r\ngh")
+    assert [d.text for d in load_tsv(path, labeled=False)] == ["ab\rcd", "ef", "gh"]
+
+
+def test_load_tsv_lone_carriage_return_keeps_line_numbers(tmp_path):
+    path = tmp_path / "train.tsv"
+    path.write_bytes(b"ab\rcd\ttam\nno label here\n")
+    with pytest.raises(CorpusError, match="line 2: expected 2"):
+        load_tsv(path)
+    path.write_bytes(b"ab\rcd\ttam\r\nef\tmal\n")
+    corpus = load_tsv(path)
+    assert [(d.id, d.text, d.label) for d in corpus] == [(0, "ab\rcd", "tam"), (1, "ef", "mal")]
+
+
 def test_save_tsv_round_trips(tmp_path, make_corpus):
     corpus = make_corpus([("padam super", "mal"), ("semma movie", "tam")])
     path = tmp_path / "out.tsv"

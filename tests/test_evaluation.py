@@ -395,8 +395,9 @@ def test_sweep_tsv_format():
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0])
-@pytest.mark.parametrize("method", ["nb", "heli"])
+@pytest.mark.parametrize("method", ADAPT_METHODS)
 def test_sweep_checks_every_pm_before_building(tiny_task, monkeypatch, method, bad):
+    # simple and sum_rf sweep one cell per range, but check the grid all the same
     train, dev = tiny_task
     built = _capture_builds(monkeypatch)
     with pytest.raises(ValueError, match="penalty modifier"):

@@ -24,6 +24,7 @@ from ngramlid import (
     save_models,
 )
 from ngramlid.corpus import Document, ordered_split
+from ngramlid.heli import HeliModelSet
 from ngramlid.ngram import GramGroups
 from ngramlid.synth import generate, spec_from_dict
 
@@ -504,11 +505,11 @@ def test_load_rejects_empty_language_field(tmp_path):
         load_models(path)
 
 
-def _reference_extract(norm, rng):
+def _reference_extract(words, rng, pad=True):
     # one Counter.update per word and length, as extraction used to run
     grams = Counter()
-    for w in norm.lowercased:
-        s = f" {w} "
+    for w in words:
+        s = f" {w} " if pad else w
         for n in range(rng.min_n, min(rng.max_n, len(s)) + 1):
             grams.update([s[i : i + n] for i in range(len(s) - n + 1)])
     return grams
@@ -523,9 +524,13 @@ def test_extract_keeps_gram_order():
         )
         rng = NgramRange(rnd.randint(1, 4), rnd.randint(4, 9))
         norm = normalize(text)
-        assert list(extract_ngrams(norm, rng).items()) == list(
-            _reference_extract(norm, rng).items()
-        )
+        got, ref = extract_ngrams(norm, rng), _reference_extract(norm.lowercased, rng)
+        # extraction runs length by length: the old order, stably grouped by
+        # length, so each length's grams keep the order scoring sees
+        assert list(got.items()) == sorted(ref.items(), key=lambda kv: len(kv[0]))
+        assert [(n, list(pairs)) for n, pairs in GramGroups(got).groups] == [
+            (n, list(pairs)) for n, pairs in GramGroups(ref).groups
+        ]
 
 
 def _slice_corpus():
@@ -618,3 +623,135 @@ def test_load_rejects_non_canonical_headers(tmp_path, header):
     )
     with pytest.raises(ModelIOError, match="bad or missing header"):
         load_models(path)
+
+
+# -- builders against per-document folds --------------------------------------
+
+BUILD_LETTERS = "aäbcčdeéßgİıжЖωΩ"  # mixed case; "İ" lowercases to two characters
+
+
+def _random_build_corpus(rnd):
+    """Three non-ASCII languages of 1-5 documents, each of 0-7 words drawn
+    from a small per-language vocabulary (so words repeat), with wordless
+    documents mixed in."""
+    docs = []
+    for label in ("ab", "čd", "ñé"):
+        vocab = [
+            "".join(rnd.choice(BUILD_LETTERS) for _ in range(rnd.randint(1, 9)))
+            for _ in range(rnd.randint(1, 5))
+        ]
+        for _ in range(rnd.randint(1, 5)):
+            if rnd.random() < 0.2:
+                text = rnd.choice(["", "123 !!", " — ", "\t"])
+            else:
+                text = rnd.choice([" ", ", ", "1"]).join(
+                    rnd.choice(vocab) for _ in range(rnd.randint(1, 7))
+                )
+            docs.append((text, label))
+    rnd.shuffle(docs)
+    return docs
+
+
+def _assert_models_equal(got, want):
+    assert set(got) == set(want)
+    for lang, model in want.items():
+        assert got[lang].counts == model.counts
+        assert got[lang].totals == model.totals
+        assert got[lang].penalties == model.penalties
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+@pytest.mark.parametrize("pad", [True, False])
+@pytest.mark.parametrize("concatenate", [False, True])
+def test_build_models_equals_per_document_folds(
+    tmp_path, make_corpus, lowercase, pad, concatenate
+):
+    rnd = random.Random(f"build-{lowercase}-{pad}-{concatenate}")
+    for _ in range(12):
+        corpus = make_corpus(_random_build_corpus(rnd))
+        rng = NgramRange(rnd.randint(1, 4), rnd.randint(4, 8))
+        pm = rnd.choice([1.0, 2.15, 3.5])
+        want = {lang: NgramModel(lang, pm) for lang in corpus.label_set}
+        for doc in corpus:
+            norm = normalize(doc.text, concatenate=concatenate)
+            grams = _reference_extract(norm.lowercased if lowercase else norm.words, rng, pad)
+            if grams:
+                want[doc.label].add_grams(grams)
+        empty = sorted(lang for lang, m in want.items() if not m.counts)
+        if empty:
+            with pytest.raises(ValueError, match=f"language {empty[0]!r}: nothing counted"):
+                build_models(corpus, rng, pm, lowercase, pad, concatenate)
+            continue
+        built = build_models(corpus, rng, pm, lowercase, pad, concatenate)
+        _assert_models_equal(built.models, want)
+        save_models(built, tmp_path / "model.tsv")
+        assert load_models(tmp_path / "model.tsv") == built
+
+
+HELI_DOMAINS = ("lnr", "onr", "lw", "ow")
+HELI_SUBSETS = [
+    tuple(d for i, d in enumerate(HELI_DOMAINS) if mask >> i & 1) for mask in range(1, 16)
+]
+
+
+@pytest.mark.parametrize("domains", HELI_SUBSETS, ids="+".join)
+def test_heli_build_equals_per_document_folds(tmp_path, make_corpus, domains):
+    rnd = random.Random("heli-" + "+".join(domains))
+    for _ in range(6):
+        corpus = make_corpus(_random_build_corpus(rnd))
+        lnr, onr = (NgramRange(rnd.randint(1, 4), rnd.randint(4, 8)) for _ in range(2))
+        config = HeliConfig(
+            lnr=lnr if "lnr" in domains else None,
+            onr=onr if "onr" in domains else None,
+            lw="lw" in domains,
+            ow="ow" in domains,
+            pm=rnd.choice([1.0, 2.15]),
+        )
+        kinds = config.enabled_kinds()
+        want = {kind: {lang: NgramModel(lang, config.pm) for lang in corpus.label_set}
+                for kind in kinds}
+        for doc in corpus:
+            norm = normalize(doc.text)
+            for kind, rng, lower in config._domains:
+                words = norm.lowercased if lower else norm.words
+                items = Counter(words) if rng is None else _reference_extract(words, rng)
+                if items:
+                    want[kind][doc.label].add_grams(items, 0 if rng is None else None)
+        # the adaptation fold: heli_add_document into empty sub-models
+        folded = HeliModelSet(config, {kind: {lang: NgramModel(lang, config.pm)
+                                              for lang in corpus.label_set} for kind in kinds})
+        for doc in corpus:
+            heli_add_document(folded, doc, doc.label)
+        for kind in kinds:
+            _assert_models_equal(folded.submodels[kind], want[kind])
+        empty = sorted(
+            lang for lang in corpus.label_set
+            if not any(want[kind][lang].counts for kind in kinds)
+        )
+        if empty:
+            with pytest.raises(ValueError, match=f"language {empty[0]!r}: nothing counted"):
+                heli_build(corpus, config)
+            continue
+        built = heli_build(corpus, config)
+        assert set(built.submodels) == set(kinds)
+        for kind in kinds:
+            _assert_models_equal(built.submodels[kind], want[kind])
+        save_heli_models(built, tmp_path / "heli.tsv")
+        assert load_heli_models(tmp_path / "heli.tsv") == built
+
+
+@pytest.mark.parametrize("domains", HELI_SUBSETS, ids="+".join)
+def test_builders_reject_a_language_of_wordless_documents(make_corpus, domains):
+    corpus = make_corpus([("ßä Жω", "ab"), ("", "čd"), ("12 — !!", "čd")])
+    rng = NgramRange(1, 3)
+    with pytest.raises(ValueError, match="language 'čd': nothing counted"):
+        build_models(corpus, rng, 2.0)
+    config = HeliConfig(
+        lnr=rng if "lnr" in domains else None,
+        onr=rng if "onr" in domains else None,
+        lw="lw" in domains,
+        ow="ow" in domains,
+        pm=2.0,
+    )
+    with pytest.raises(ValueError, match="language 'čd': nothing counted"):
+        heli_build(corpus, config)
