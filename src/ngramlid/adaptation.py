@@ -79,7 +79,8 @@ class _ScorerBackend:
         return score_with(self.method, self.grams(doc), self.model_set)
 
     def score_one(self, doc: Document, lang: str) -> float:
-        return score_language(self.method, self.grams(doc), self.model_set.models[lang])
+        ms = self.model_set
+        return score_language(self.method, self.grams(doc), ms.models[lang], ms.penalty_modifier)
 
     def absorb(self, doc: Document, lang: str) -> list[str]:
         grams = self.grams(doc)

@@ -9,12 +9,11 @@ A flag value that does not parse as its type (a non-integer
 usage error, exit 1. A value that parses but is out of range for the
 model or the adaptation (``--adapt-k 0``, ``--epochs -1``, ``--ct -1``,
 ``--pm 0``) is a data error, exit 2, as the same value in a model file
-or a library call is. The exceptions: ``--jobs`` below 1 is a usage
-error, since it sets how a sweep runs rather than what it computes; the
-heli ranges ``--lnr`` and ``--onr`` are checked as they are parsed, so
-an out-of-range one is a usage error too; and the sweep grids
-``--ranges`` and ``--pms`` are read whole by the command, so any bad
-grid is a data error.
+or a library call is; so is an out-of-range gram range (``--min-n 0``,
+``--lnr 2-99``). The exceptions: ``--jobs`` below 1 is a usage error,
+since it sets how a sweep runs rather than what it computes; and the
+sweep grids ``--ranges`` and ``--pms`` are read whole by the command,
+so any bad grid is a data error.
 """
 
 from __future__ import annotations
@@ -57,17 +56,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _parse_range_arg(value: str) -> NgramRange:
-    try:
-        return NgramRange.parse(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _parse_opt_range(value: str) -> NgramRange | None:
+def _parse_opt_range(value: str) -> tuple[int, int] | None:
+    """A heli range's bounds, or None for ``-``; ``_cmd_train`` checks them."""
     if value == "-":
         return None
-    return _parse_range_arg(value)
+    try:
+        return NgramRange.parse_bounds(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_yn(value: str) -> bool:
@@ -175,7 +171,8 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     corpus = load_tsv(args.infile, labeled=True)
     if args.method == "heli":
-        config = HeliConfig(lnr=args.lnr, onr=args.onr, lw=args.lw, ow=args.ow, pm=args.pm)
+        lnr, onr = (bounds and NgramRange(*bounds) for bounds in (args.lnr, args.onr))
+        config = HeliConfig(lnr=lnr, onr=onr, lw=args.lw, ow=args.ow, pm=args.pm)
         models = heli_build(corpus, config)
         save_heli_models(models, args.model)
     else:
@@ -307,9 +304,9 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--concat", action="store_true", help="join all words before gram extraction"
     )
-    p.add_argument("--lnr", type=_parse_opt_range, default=NgramRange(2, 6),
+    p.add_argument("--lnr", type=_parse_opt_range, default=(2, 6),
                    help="heli: lowercased gram range, or - to disable")
-    p.add_argument("--onr", type=_parse_opt_range, default=NgramRange(2, 6),
+    p.add_argument("--onr", type=_parse_opt_range, default=(2, 6),
                    help="heli: original-casing gram range, or - to disable")
     p.add_argument("--lw", type=_parse_yn, default=True, help="heli: lowercased words y|n")
     p.add_argument("--ow", type=_parse_yn, default=True, help="heli: original words y|n")

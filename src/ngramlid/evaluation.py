@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .adaptation import ADAPT_METHODS, AdaptConfig, adaptive_identify
 from .corpus import Corpus
 from .heli import HeliConfig, heli_build
-from .ngram import GramGroups, ModelSet, NgramModel, NgramRange, _check_pm, build_models
+from .ngram import GramGroups, NgramRange, _check_pm, _penalty, build_models
 from .scorers import Prediction, _nb_length_terms, to_prediction
 
 
@@ -136,81 +136,73 @@ class SweepResult:
 
 
 def _nb_cell_scores(
-    terms: dict[str, list], models: dict[str, NgramModel], rng: NgramRange
+    terms: dict[str, list], pens: dict[str, dict[int, float]], rng: NgramRange
 ) -> dict[str, float]:
-    """One document's nb scores in the cell of ``rng`` and the models' pm.
+    """One document's nb scores in the cell of ``rng``.
 
     ``terms`` maps a language to ``_nb_length_terms`` of the document on
-    the union build; ``models`` are that build's ``with_pm`` slice for
-    the cell, so the penalties come from ``_penalty`` as always. Each
-    absent gram gets its own ``mult * pen`` term, as in ``_score_nb``.
+    the union build, and ``pens`` to the cell's ``_penalty`` per gram
+    length of that build's totals; a length a language has no total for
+    costs 0, as ``_penalty`` gives. Each absent gram gets its own
+    ``mult * pen`` term, as in ``_score_nb``.
     """
     scores = {}
-    for lang, model in models.items():
+    for lang, by_len in terms.items():
+        pen_of = pens[lang]
         cell: list[float] = []
-        for n, present, absent in terms[lang]:
+        for n, present, absent in by_len:
             if rng.holds(n):
                 cell += present
-                pen = model.penalty(n)
+                pen = pen_of.get(n, 0.0)
                 cell += [mult * pen for mult in absent]
         scores[lang] = math.fsum(cell)
     return scores
-
-
-def _sweep_nb_cells(
-    dev: Corpus, base: ModelSet, dev_grams: dict[int, GramGroups], ranges, pms
-) -> list[SweepRow]:
-    """The nb cells of a sweep without adaptation.
-
-    Each dev document's present-gram terms and absent-gram
-    multiplicities are computed once per language, on the union build;
-    every cell then adds up the terms of its range's lengths under its
-    own penalties. Scores, and so the rows, equal ``adaptive_identify``
-    with ``epochs=0`` on the cell's slices.
-    """
-    terms = {
-        i: {lang: _nb_length_terms(g.groups, m) for lang, m in base.models.items()}
-        for i, g in dev_grams.items()
-    }
-    rows = []
-    for rng in ranges:
-        for pm in pms:
-            models = base.with_pm(pm, rng=rng).models
-            preds = [
-                to_prediction(doc.id, _nb_cell_scores(terms[doc.id], models, rng), lower=True)
-                for doc in dev
-            ]
-            report = evaluate(preds, dev)
-            rows.append(SweepRow("nb", rng, pm, report.macro_f1, report.micro_f1))
-    return rows
 
 
 def _sweep_ranges(args) -> list[SweepRow]:
     """Every (range, pm) cell of a group of ranges, in one pass.
 
     The models are built once over the group's union range, and each dev
-    document's grams are extracted once over it. Counts, totals and
-    penalties are all per gram length, so each cell scores the length
-    slices of both, which equal a build and an extraction over the cell's
-    range alone. An nb sweep without adaptation goes further: it splits
-    each document's terms once per language (``_sweep_nb_cells``).
+    document's grams are extracted once over it. Counts and totals are
+    both per gram length, so each cell scores the length slices of both,
+    which equal a build and an extraction over the cell's range alone.
+    An nb sweep without adaptation goes further: it splits each dev
+    document's terms once per language on the union build, and each cell
+    sums its range's lengths under its own penalties (``_nb_cell_scores``),
+    with no model clone. Scores, and so the rows, equal
+    ``adaptive_identify`` with ``epochs=0`` on the cell's slices.
     """
     train, dev, method, ranges, pms, adapt = args
     union = NgramRange(min(r.min_n for r in ranges), max(r.max_n for r in ranges))
+    terms = None
     if method == "heli":
         base = heli_build(train, HeliConfig(lnr=union, onr=union, lw=True, ow=True, pm=pms[0]))
         dev_grams = None
     else:
         base = build_models(train, union, pms[0])
         dev_grams = {doc.id: GramGroups(base.doc_grams(doc)) for doc in dev}
-    if method == "nb" and adapt.epochs == 0:
-        return _sweep_nb_cells(dev, base, dev_grams, ranges, pms)
+        if method == "nb" and adapt.epochs == 0:
+            terms = {
+                i: {lang: _nb_length_terms(g.groups, m) for lang, m in base.models.items()}
+                for i, g in dev_grams.items()
+            }
+            dev_grams = None  # its cells read the terms, so no grams are sliced
     rows = []
     for rng in ranges:
         grams = None if dev_grams is None else {i: g.sliced(rng) for i, g in dev_grams.items()}
         for pm in pms:
-            models = base.with_pm(pm, copy_counts=adapt.epochs > 0, rng=rng)
-            preds = adaptive_identify(dev, models, method, adapt, grams=grams)
+            if terms is None:
+                models = base.with_pm(pm, copy_counts=adapt.epochs > 0, rng=rng)
+                preds = adaptive_identify(dev, models, method, adapt, grams=grams)
+            else:
+                pens = {
+                    lang: {n: _penalty(pm, total) for n, total in m.totals.items()}
+                    for lang, m in base.models.items()
+                }
+                preds = [
+                    to_prediction(doc.id, _nb_cell_scores(terms[doc.id], pens, rng), lower=True)
+                    for doc in dev
+                ]
             report = evaluate(preds, dev)
             rows.append(SweepRow(method, rng, pm, report.macro_f1, report.micro_f1))
     return rows
@@ -228,17 +220,18 @@ def sweep(
     """Evaluate every (range, pm) grid cell on the dev split.
 
     Models are built once, over the union of the grid's ranges, and
-    sliced and re-penalized per cell; each dev document is extracted
-    once. Without adaptation, an nb sweep also computes each dev
-    document's per-length terms once per language: present grams'
-    ``-log`` frequencies and absent grams' multiplicities. Each cell then
-    only charges its penalties and sums its range's lengths with
-    ``math.fsum``, which gives the bits of a direct score. Every pm is
-    checked before anything is built, for every method. The two methods
-    that never smooth (simple, sum_rf) then sweep one cell per range,
-    reported with pm 1.0, whatever the grid holds. Rows come back sorted
-    by macro F1 descending, ties by (range.min_n, range.max_n, pm) ascending;
-    repeated runs produce identical output. With ``jobs`` (at least 1)
+    sliced per cell; each dev document is extracted once. Without
+    adaptation, an nb sweep also computes each dev document's per-length
+    terms once per language: present grams' ``-log`` frequencies and
+    absent grams' multiplicities. Each cell then only charges its
+    penalties, from the union build's totals, and sums its range's
+    lengths with ``math.fsum``, which gives the bits of a direct score.
+    The grid must hold a pm, and every pm is checked, before anything is
+    built, for every method. The two methods that never smooth (simple,
+    sum_rf) then sweep one cell per range, reported with pm 1.0, whatever
+    the grid holds. Rows come back sorted by macro F1 descending, ties by
+    (range.min_n, range.max_n, pm) ascending; repeated runs produce
+    identical output. With ``jobs`` (at least 1)
     above 1, the sorted ranges are split into ``min(jobs, ranges)``
     contiguous groups, each swept the same way in its own worker process;
     the output does not depend on ``jobs``.
@@ -251,14 +244,11 @@ def sweep(
     range_list = sorted(set(ranges), key=lambda r: (r.min_n, r.max_n))
     if not range_list:
         raise ValueError("sweep grid has no n-gram ranges")
+    if not pms:
+        raise ValueError("sweep grid has no penalty modifiers")
     for pm in pms:  # every method, before any build, not when the pm's cell is reached
         _check_pm(pm)
-    if method in ("nb", "heli"):
-        pm_list = sorted(set(pms))
-        if not pm_list:
-            raise ValueError("sweep grid has no penalty modifiers")
-    else:
-        pm_list = [1.0]
+    pm_list = sorted(set(pms)) if method in ("nb", "heli") else [1.0]
 
     n, n_groups = len(range_list), min(jobs, len(range_list))
     groups = [range_list[i * n // n_groups : (i + 1) * n // n_groups] for i in range(n_groups)]

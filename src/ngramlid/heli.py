@@ -13,7 +13,8 @@ the mean.
 A word present in a language's model contributes -log of its relative
 frequency; a word (or gram) the language is missing contributes that
 language's penalty, pm * log(total tokens of the domain), the same
-appeared-only-once smoothing rule the Naive Bayes scorer uses.
+appeared-only-once smoothing rule (``ngram._penalty``) the Naive Bayes
+scorer uses, with the pm of the model set's config.
 
 Document score is the mean of its word scores; lower is better.
 
@@ -49,6 +50,7 @@ from .ngram import (
     _parse_pm,
     _parse_range_header,
     _parse_rows,
+    _penalty,
     _read_model_lines,
     _write_model_file,
 )
@@ -121,7 +123,7 @@ class HeliModelSet:
         ``rng`` narrows every gram domain to its lengths.
 
         The slice equals a build over ``rng``: word sub-models do not
-        depend on the range, and scoring reads gram counts and penalties
+        depend on the range, and scoring reads gram counts and totals
         only at lengths inside it.
 
         A clone that shares counts shares the known-items index too (built
@@ -137,7 +139,7 @@ class HeliModelSet:
             config = replace(config, lnr=config.lnr and rng, onr=config.onr and rng)
         subs = {
             kind: {
-                lang: m.clone(pm, copy_counts, rng if kind in gram_kinds else None)
+                lang: m.clone(copy_counts, rng if kind in gram_kinds else None)
                 for lang, m in by_lang.items()
             }
             for kind, by_lang in self.submodels.items()
@@ -186,12 +188,12 @@ def heli_build(train: Corpus, config: HeliConfig) -> HeliModelSet:
 
     Each document's words, and its grams one length at a time, go into
     one counter per (kind, language, length) (``ngram._build``); totals
-    and penalties are computed once per sub-model at the end. Raises for
-    an unlabeled corpus, a label a model file cannot store or a language
-    with nothing counted in any enabled domain.
+    are computed once per sub-model at the end. Raises for an unlabeled
+    corpus, a label a model file cannot store or a language with nothing
+    counted in any enabled domain.
     """
     kinds = config.enabled_kinds()
-    subs = _build(train, "heli_build", kinds, config.pm, lambda norm: _doc_items(norm, config))
+    subs = _build(train, "heli_build", kinds, lambda norm: _doc_items(norm, config))
     return HeliModelSet(config=config, submodels=subs)
 
 
@@ -201,8 +203,8 @@ def heli_add_document(
     """Fold one document into a language's sub-models, in place, one kind
     and length at a time.
 
-    Totals and penalties are updated for the lengths the document touches,
-    and the known-items index, once built, gains the document's items.
+    Totals are updated for the lengths the document touches, and the
+    known-items index, once built, gains the document's items.
     ``norm`` is the document's normalized text, for callers that have it.
     """
     if language not in models.languages:
@@ -218,7 +220,7 @@ def heli_add_document(
 
 
 def _word_domain_values(
-    word: str, by_lang: dict[str, NgramModel], known: dict[int, set[str]]
+    word: str, by_lang: dict[str, NgramModel], known: dict[int, set[str]], pm: float
 ) -> dict[str, float] | None:
     """Score in a word domain, or None when no language knows the word."""
     if word not in known.get(WORD_LENGTH_KEY, _NOTHING_KNOWN):
@@ -227,14 +229,18 @@ def _word_domain_values(
     for lang, m in by_lang.items():
         c = m.counts.get(WORD_LENGTH_KEY, {}).get(word)
         if c is None:
-            values[lang] = m.penalty(WORD_LENGTH_KEY)
+            values[lang] = _penalty(pm, m.totals.get(WORD_LENGTH_KEY, 0))
         else:
             values[lang] = -math.log(c / m.totals[WORD_LENGTH_KEY])
     return values
 
 
 def _gram_domain_values(
-    word: str, rng: NgramRange, by_lang: dict[str, NgramModel], known: dict[int, set[str]]
+    word: str,
+    rng: NgramRange,
+    by_lang: dict[str, NgramModel],
+    known: dict[int, set[str]],
+    pm: float,
 ) -> dict[str, float] | None:
     """Score in a gram domain, trying lengths from the longest down.
 
@@ -263,7 +269,7 @@ def _gram_domain_values(
                 for lang, m in by_lang.items():
                     c = m.counts.get(length, {}).get(gram)
                     if c is None:
-                        sums[lang] += m.penalty(length)
+                        sums[lang] += _penalty(pm, m.totals.get(length, 0))
                     else:
                         sums[lang] += -math.log(c / m.totals[length])
         return {lang: s / used for lang, s in sums.items()}
@@ -274,7 +280,10 @@ def _last_resort_values(models: HeliModelSet) -> dict[str, float]:
     """Every language pays the penalty of the last domain in precedence."""
     kind, rng, _ = models.config._domains[-1]
     length = WORD_LENGTH_KEY if rng is None else rng.min_n
-    return {lang: m.penalty(length) for lang, m in models.submodels[kind].items()}
+    pm = models.config.pm
+    return {
+        lang: _penalty(pm, m.totals.get(length, 0)) for lang, m in models.submodels[kind].items()
+    }
 
 
 def heli_score_word(
@@ -282,13 +291,14 @@ def heli_score_word(
 ) -> dict[str, float]:
     """Score one word in the first domain that recognizes it."""
     known = models.known_items()
+    pm = models.config.pm
     for kind, rng, lower in models.config._domains:
         word = word_lowercased if lower else word_original
         by_lang = models.submodels[kind]
         if rng is None:
-            values = _word_domain_values(word, by_lang, known[kind])
+            values = _word_domain_values(word, by_lang, known[kind], pm)
         else:
-            values = _gram_domain_values(word, rng, by_lang, known[kind])
+            values = _gram_domain_values(word, rng, by_lang, known[kind], pm)
         if values is not None:
             return values
     return _last_resort_values(models)
@@ -368,7 +378,7 @@ def parse_heli_models(path: Path, header: dict, rows: list) -> HeliModelSet:
     kinds = {
         kind: rng and ("lnr" if lower else "onr", rng) for kind, rng, lower in config._domains
     }
-    subs = _parse_rows(path, rows, pm, kinds)
+    subs = _parse_rows(path, rows, kinds)
     return HeliModelSet(config=config, submodels=subs)
 
 

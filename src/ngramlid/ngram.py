@@ -13,12 +13,14 @@ adaptation folds a document at a time with ``NgramModel.add_grams``.
 
 The smoothing value for a gram absent from a model ("penalty") is the
 negative natural log of a gram that would appear exactly once,
-multiplied by a penalty modifier:
+multiplied by the model set's penalty modifier (``_penalty``):
 
     penalty[L] = pm * log(totals[L])
 
 A length with no mass at all gets penalty 0, the continuous extension
-of the same formula (totals of 1 also yields 0).
+of the same formula (totals of 1 also yields 0). Models store no pm and
+no penalty: the scorers charge this rule with the pm of the model set
+they score, so a set is re-penalized by changing its pm alone.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ def _check_within(rng: NgramRange, outer: NgramRange) -> None:
 
 
 def _penalty(pm: float, total: int) -> float:
+    """The one smoothing rule: an absent item's cost at a length whose
+    counts sum to ``total``."""
     return pm * math.log(total) if total > 0 else 0.0
 
 
@@ -98,15 +102,19 @@ class NgramRange:
     def holds(self, length: int) -> bool:
         return self.min_n <= length <= self.max_n
 
+    @staticmethod
+    def parse_bounds(spec: str) -> tuple[int, int]:
+        """The bounds of ``"2-6"`` (or of a bare ``"3"``, meaning 3-3),
+        not yet checked against each other or ``MAX_NGRAM_LENGTH``."""
+        parts = spec.split("-")
+        if len(parts) > 2:
+            raise ValueError(f"bad n-gram range spec {spec!r}")
+        return int(parts[0]), int(parts[-1])
+
     @classmethod
     def parse(cls, spec: str) -> "NgramRange":
         """Parse ``"2-6"`` (or a bare ``"3"`` meaning 3-3)."""
-        parts = spec.split("-")
-        if len(parts) == 1:
-            return cls(int(parts[0]), int(parts[0]))
-        if len(parts) == 2:
-            return cls(int(parts[0]), int(parts[1]))
-        raise ValueError(f"bad n-gram range spec {spec!r}")
+        return cls(*cls.parse_bounds(spec))
 
 
 def _grams_by_length(
@@ -197,17 +205,15 @@ def group_by_length(grams: "Counter | GramGroups") -> list:
 
 @dataclass
 class NgramModel:
-    """Per-language gram counts, totals, and penalties, keyed by length.
+    """Per-language gram counts and totals, keyed by length.
 
-    ``totals`` and ``penalties`` must agree with ``counts``: code that
-    edits ``counts`` directly calls ``refresh`` before the model is used.
+    ``totals`` must agree with ``counts``: code that edits ``counts``
+    directly calls ``refresh`` before the model is used.
     """
 
     language: str
-    penalty_modifier: float
     counts: dict[int, dict[str, int]] = field(default_factory=dict)
     totals: dict[int, int] = field(default_factory=dict)
-    penalties: dict[int, float] = field(default_factory=dict)
 
     def add_grams(
         self, grams: "Counter | GramGroups", length: int | None = None
@@ -216,41 +222,28 @@ class NgramModel:
 
         Items are keyed by their own length, or all by ``length`` when it
         is given (word sub-models use pseudo-length 0). Only the totals
-        and penalties of the lengths the items touch are recomputed, with
-        the expression ``refresh`` uses, so a fold costs the size of
+        of the lengths the items touch change, so a fold costs the size of
         ``grams`` rather than the size of the model.
         """
         groups = [(length, grams.items())] if length is not None else group_by_length(grams)
-        pm = self.penalty_modifier
         for n, pairs in groups:
-            total = self.totals.get(n, 0) + _fold(self.counts.setdefault(n, {}), pairs)
-            self.totals[n] = total
-            self.penalties[n] = _penalty(pm, total)
+            self.totals[n] = self.totals.get(n, 0) + _fold(self.counts.setdefault(n, {}), pairs)
 
     def refresh(self) -> None:
-        """Recompute totals and penalties from the raw counts."""
+        """Recompute the totals from the raw counts."""
         self.totals = {n: sum(d.values()) for n, d in self.counts.items()}
-        pm = self.penalty_modifier
-        self.penalties = {n: _penalty(pm, t) for n, t in self.totals.items()}
 
-    def clone(
-        self, pm: float, copy_counts: bool = False, rng: NgramRange | None = None
-    ) -> "NgramModel":
-        """The counts of the lengths in ``rng`` (of every length when it is
-        None) under penalty modifier ``pm``.
+    def clone(self, copy_counts: bool = False, rng: NgramRange | None = None) -> "NgramModel":
+        """The counts and totals of the lengths in ``rng`` (of every length
+        when it is None).
 
         Each length's counts are shared unless ``copy_counts`` is set, and
         then only the kept lengths are copied. Totals carry over, as they
-        agree with the counts; penalties are recomputed for ``pm``.
+        agree with the counts.
         """
         kept = [n for n in self.counts if rng is None or rng.holds(n)]
         counts = {n: dict(self.counts[n]) if copy_counts else self.counts[n] for n in kept}
-        totals = {n: self.totals[n] for n in kept}
-        penalties = {n: _penalty(pm, t) for n, t in totals.items()}
-        return NgramModel(self.language, pm, counts, totals, penalties)
-
-    def penalty(self, length: int) -> float:
-        return self.penalties.get(length, 0.0)
+        return NgramModel(self.language, counts, {n: self.totals[n] for n in kept})
 
     def rel_freq(self, gram: str) -> float:
         by_len = self.counts.get(len(gram))
@@ -261,7 +254,8 @@ class NgramModel:
 
 @dataclass
 class ModelSet:
-    """Language models sharing one gram range and preprocessing options."""
+    """Language models sharing one gram range, preprocessing options and
+    penalty modifier, which nb scoring charges to every model."""
 
     models: dict[str, NgramModel]
     range: NgramRange
@@ -269,13 +263,6 @@ class ModelSet:
     lowercase: bool = True
     pad: bool = True
     concatenate: bool = False
-
-    def __post_init__(self) -> None:
-        for lang, model in self.models.items():
-            if model.penalty_modifier != self.penalty_modifier:
-                raise ValueError(
-                    f"model {lang!r} disagrees on the penalty modifier"
-                )
 
     @property
     def languages(self) -> list[str]:
@@ -297,20 +284,20 @@ class ModelSet:
         """Clone with a different penalty modifier, narrowed to the gram
         lengths of ``rng`` when it is given.
 
-        Counts, totals and penalties are all per length, so the slice of a
-        model set over ``rng`` equals a build over ``rng`` alone. Counts
-        are shared unless ``copy_counts`` is set; callers that go on to
-        mutate the clone (adaptation) must request copies.
+        Counts and totals are both per length, so the slice of a model set
+        over ``rng`` equals a build over ``rng`` alone. Counts are shared
+        unless ``copy_counts`` is set; callers that go on to mutate the
+        clone (adaptation) must request copies.
         """
         _check_pm(pm)
         if rng is not None:
             _check_within(rng, self.range)
-        models = {lang: m.clone(pm, copy_counts, rng) for lang, m in self.models.items()}
+        models = {lang: m.clone(copy_counts, rng) for lang, m in self.models.items()}
         return replace(self, models=models, range=rng or self.range, penalty_modifier=pm)
 
 
 def _build(
-    train: Corpus, name: str, kinds: Iterable[str], pm: float, doc_items, concatenate: bool = False
+    train: Corpus, name: str, kinds: Iterable[str], doc_items, concatenate: bool = False
 ) -> dict[str, dict[str, NgramModel]]:
     """Count items per (kind, language, length) over a labeled training corpus.
 
@@ -340,7 +327,7 @@ def _build(
     for kind, by_lang in tallies.items():
         subs[kind] = {}
         for lang, by_len in by_lang.items():
-            model = subs[kind][lang] = NgramModel(lang, pm)
+            model = subs[kind][lang] = NgramModel(lang)
             for n in list(by_len):  # pop as we go: one length's counter and dict at a time
                 model.counts[n] = dict(by_len.pop(n))
             model.refresh()
@@ -371,17 +358,16 @@ def build_models(
         for n, grams in _grams_by_length(words, rng, pad):
             yield GRAMS, n, grams
 
-    models = _build(train, "build_models", [GRAMS], pm, doc_items, concatenate)[GRAMS]
+    models = _build(train, "build_models", [GRAMS], doc_items, concatenate)[GRAMS]
     return ModelSet(models, rng, pm, lowercase, pad, concatenate)
 
 
 def add_document(model_set: ModelSet, doc: Document, language: str) -> ModelSet:
     """Fold one document's grams into a language's model, in place.
 
-    Totals and penalties of that language are updated for the gram
-    lengths the document touches; other languages are untouched. Returns
-    the same model set for convenience. Callers must serialize concurrent
-    updates.
+    Totals of that language are updated for the gram lengths the
+    document touches; other languages are untouched. Returns the same
+    model set for convenience. Callers must serialize concurrent updates.
     """
     if language not in model_set.models:
         raise ValueError(f"unknown language {language!r}")
@@ -508,7 +494,7 @@ def _row_error(path: Path, line: str, problem: str) -> ModelIOError:
     return ModelIOError(f"{path}: {problem}: {line!r}")
 
 
-def _parse_rows(path: Path, rows: list[str], pm: float, kinds: dict) -> dict:
+def _parse_rows(path: Path, rows: list[str], kinds: dict) -> dict:
     """Split and count row lines into one refreshed model per (kind, language).
 
     ``kinds`` maps each kind the header enables to ``(header name, gram
@@ -548,7 +534,7 @@ def _parse_rows(path: Path, rows: list[str], pm: float, kinds: dict) -> dict:
                 )
             model = subs[kind].get(lang)
             if model is None:
-                model = subs[kind][lang] = NgramModel(language=lang, penalty_modifier=pm)
+                model = subs[kind][lang] = NgramModel(lang)
             by_item = model.counts.setdefault(length, {})
         # _is_canonical_int and at least 1, inlined since it runs on every row
         if not (count_s.isdigit() and count_s.isascii()) or count_s[0] == "0":
@@ -564,7 +550,7 @@ def _parse_rows(path: Path, rows: list[str], pm: float, kinds: dict) -> dict:
     for by_lang in subs.values():
         for lang in languages:
             if lang not in by_lang:
-                by_lang[lang] = NgramModel(language=lang, penalty_modifier=pm)
+                by_lang[lang] = NgramModel(lang)
             by_lang[lang].refresh()
     return subs
 
@@ -587,7 +573,7 @@ def parse_models(path: Path, header: dict, rows: list) -> ModelSet:
         )
     except (KeyError, ValueError) as exc:
         raise ModelIOError(f"{path}: bad or missing header: {exc}") from exc
-    models = _parse_rows(path, rows, pm, {GRAMS: ("range", rng)})[GRAMS]
+    models = _parse_rows(path, rows, {GRAMS: ("range", rng)})[GRAMS]
     return ModelSet(models, rng, pm, lowercase, pad, concat)
 
 

@@ -3,7 +3,8 @@ the penalty-smoothed Naive Bayes formulation.
 
 Simple scoring and the frequency sum are higher-is-better; Naive Bayes
 accumulates negative log relative frequencies, so lower is better. The
-penalty modifier only ever matters for Naive Bayes.
+penalty modifier only ever matters for Naive Bayes. Models store no pm:
+every scorer takes the scored model set's pm as its last argument.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Document
-from .ngram import GramGroups, ModelSet, NgramModel, group_by_length
+from .ngram import GramGroups, ModelSet, NgramModel, _penalty, group_by_length
 
 METHODS = ("simple", "sum_rf", "nb")
 
@@ -26,7 +27,7 @@ class Prediction:
     margin: float
 
 
-def _score_simple(grouped, model: NgramModel) -> float:
+def _score_simple(grouped, model: NgramModel, pm: float) -> float:
     hit = 0
     for length, items in grouped:
         counts = model.counts.get(length)
@@ -38,7 +39,7 @@ def _score_simple(grouped, model: NgramModel) -> float:
     return hit
 
 
-def _score_sum_rf(grouped, model: NgramModel) -> float:
+def _score_sum_rf(grouped, model: NgramModel, pm: float) -> float:
     # integer accumulation per length, one division each: equal exact
     # scores come out as equal floats, whatever grams produced them
     terms = []
@@ -56,15 +57,15 @@ def _score_sum_rf(grouped, model: NgramModel) -> float:
     return math.fsum(terms)
 
 
-def _score_nb(grouped, model: NgramModel) -> float:
+def _score_nb(grouped, model: NgramModel, pm: float) -> float:
     # Present grams cost -log(count/total); absent ones cost the
-    # model's penalty at that gram length. fsum keeps the score
+    # penalty at that gram length. fsum keeps the score
     # independent of gram enumeration order.
     terms = []
     for length, items in grouped:
         counts = model.counts.get(length, {})
         denom = model.totals.get(length, 0)
-        pen = model.penalty(length)
+        pen = _penalty(pm, denom)
         for gram, mult in items:
             c = counts.get(gram)
             if c is None:
@@ -81,9 +82,11 @@ def _nb_length_terms(grouped, model: NgramModel) -> list[tuple[int, list[float],
     absent gram's multiplicity.
 
     Only absent grams depend on pm. ``fsum`` over ``present`` plus one
-    ``mult * model.penalty(length)`` per ``absent`` entry, for every
-    length of a range, is exactly rounded over the same terms as
-    ``_score_nb`` on the range's slice, so it gives the same float.
+    ``mult * _penalty(pm, model.totals.get(length, 0))`` per ``absent``
+    entry, for every length of a range, is exactly rounded over the same
+    terms as ``_score_nb`` on the range's slice, so it gives the same
+    float. The two stay separate loops: scoring through this split
+    measured slower on the adaptation hot path.
     """
     split = []
     for length, items in grouped:
@@ -125,12 +128,16 @@ def score_with(
     given as a Counter or already grouped by length."""
     scorer = _SCORERS[method]
     grouped = group_by_length(grams)
-    return {lang: scorer(grouped, m) for lang, m in model_set.models.items()}
+    pm = model_set.penalty_modifier
+    return {lang: scorer(grouped, m, pm) for lang, m in model_set.models.items()}
 
 
-def score_language(method: str, grams: Counter | GramGroups, model: NgramModel) -> float:
-    """Score a single language; bit-identical to its entry in ``score_with``."""
-    return _SCORERS[method](group_by_length(grams), model)
+def score_language(
+    method: str, grams: Counter | GramGroups, model: NgramModel, pm: float
+) -> float:
+    """Score a single language under penalty modifier ``pm``; bit-identical
+    to its entry in ``score_with`` on a model set with that pm."""
+    return _SCORERS[method](group_by_length(grams), model, pm)
 
 
 def lower_is_better(method: str) -> bool:

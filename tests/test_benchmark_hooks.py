@@ -8,7 +8,9 @@ The first checks catch a refactor that drops such a name without a
 benchmark run. The traced-build check runs both builders and
 ``extract_ngrams`` under the tracer and reads its memory replay and
 summary, whose hooks read the functions' results (``extract_ngrams``
-must return a Counter). The smoke run checks the pinned seed-1 output digests
+must return a Counter). The traced-adaptation check runs both adaptation
+backends and reads the re-scoring and fold counters, whose hooks read
+the scorers' arguments by position. The smoke run checks the pinned seed-1 output digests
 and the oracle sample of one workload end to end. It gates no time.
 """
 
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from ngramlid import cli, heli, ngram
+from ngramlid import adaptation, cli, heli, ngram
+from ngramlid.adaptation import AdaptConfig
 from ngramlid.corpus import normalize
 from ngramlid.heli import HeliConfig, HeliModelSet, heli_build, save_heli_models
 from ngramlid.ngram import ModelSet, NgramRange, build_models, save_models
@@ -78,6 +81,34 @@ def test_traced_builds_and_extraction_keep_the_hooks_working(tracer, make_corpus
     assert summary["ngram.extract_ngrams.grams"] == 30
     assert summary["ngram.refresh.counts_summed"] > 0
     assert summary["ngram.build_models.s"] > 0 and summary["heli.heli_build.s"] > 0
+
+
+ADAPT_COUNTERS = (
+    "adaptation.rescore_all.calls",
+    "adaptation.rescore_one.calls",
+    "adaptation.absorb.calls",
+    "scorers.gram_lookups",
+)
+
+
+def test_traced_adaptation_keeps_the_counters_working(tracer, make_corpus, make_unlabeled):
+    # the tracer patched the module attributes, so call through them
+    train = make_corpus([("ab abc ba", "A"), ("cd cde dc", "B"), ("ef efg fe", "C")] * 2)
+    test = make_unlabeled(["ab ba", "cd dc", "ef fe", "abc cd", "efg ab", "dc ef"])
+    # k=3 folds two documents a round, so some languages stay unchanged and
+    # their scores are redone one language at a time
+    adaptation.adaptive_identify(
+        test, ngram.build_models(train, NgramRange(1, 3), 2.0), "nb", AdaptConfig(k=3)
+    )
+    nb = tracer.summary()
+    assert {name: nb.get(name, 0) > 0 for name in ADAPT_COUNTERS} == dict.fromkeys(
+        ADAPT_COUNTERS, True
+    )
+    config = HeliConfig(lnr=NgramRange(1, 3), onr=None, lw=True, ow=True, pm=2.0)
+    adaptation.adaptive_identify(test, heli.heli_build(train, config), "heli", AdaptConfig(k=2))
+    both = tracer.summary()
+    for name in ("adaptation.rescore_all.calls", "adaptation.absorb.calls"):
+        assert both[name] > nb[name]
 
 
 def test_traced_sweep_workload_run_is_correct():

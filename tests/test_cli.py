@@ -338,6 +338,17 @@ def test_sweep_unsmoothed_method_checks_the_pm_grid(tmp_path, corpus_file, capsy
     assert [row.split("\t")[3] for row in rows] == ["1.0", "1.0"]  # one row per range
 
 
+@pytest.mark.parametrize("method", ["nb", "simple", "sumrf", "heli"])
+def test_sweep_empty_pm_grid_exits_2(tmp_path, corpus_file, capsys, method):
+    # every method, though simple and sumrf report one pm 1.0 cell per range
+    train, dev = _split(tmp_path, corpus_file)
+    out = tmp_path / "sweep.tsv"
+    assert main(["sweep", "--train", str(train), "--dev", str(dev), "--method", method,
+                 "--ranges", "1-2", "--pms", ",", "--out", str(out)]) == 2
+    assert "sweep grid has no penalty modifiers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_system1_smoke(tmp_path, corpus_file):
     train, dev = _split(tmp_path, corpus_file)
     test_file = _strip_labels(tmp_path, dev)
@@ -379,6 +390,26 @@ def test_data_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("no label line\n", encoding="utf-8")
     assert main(["train", "--in", str(bad), "--model", str(tmp_path / "m.tsv")]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--lnr", "--onr"])
+def test_heli_range_out_of_bounds_exits_2_and_bad_syntax_exits_1(
+    tmp_path, corpus_file, capsys, flag
+):
+    # an out-of-range gram range is a data error, as --min-n 0 is
+    model = tmp_path / "heli.tsv"
+    base = ["train", "--in", str(corpus_file), "--method", "heli", "--model", str(model)]
+    for bad in ("2-99", "0-3", "4-2"):
+        capsys.readouterr()
+        assert main(base + [flag, bad]) == 2
+        assert "need 1 <= min_n <= max_n" in capsys.readouterr().err
+        assert not model.exists()
+    assert main(["train", "--in", str(corpus_file), "--min-n", "0", "--model", str(model)]) == 2
+    for bad in ("abc", "2-3-4", ""):
+        with pytest.raises(SystemExit) as excinfo:
+            main(base + [flag, bad])
+        assert excinfo.value.code == 1
+    assert main(base + [flag, "3"]) == 0
 
 
 def test_model_method_mismatch_exits_2(tmp_path, corpus_file):

@@ -21,7 +21,7 @@ from ngramlid.adaptation import ADAPT_METHODS
 from ngramlid.corpus import Corpus, Document, ordered_split
 from ngramlid import evaluation
 from ngramlid.evaluation import SweepResult, SweepRow
-from ngramlid.ngram import GramGroups
+from ngramlid.ngram import GramGroups, NgramModel
 from ngramlid.scorers import _nb_length_terms, score_with, to_prediction
 from ngramlid.synth import generate, spec_from_dict
 
@@ -300,7 +300,6 @@ def test_adaptation_sweep_leaves_the_shared_build_unchanged(synth_task, monkeypa
             after = models.submodels[kind][lang]
             assert after.counts == model.counts
             assert after.totals == model.totals
-            assert after.penalties == model.penalties
 
 
 @pytest.mark.parametrize("method", ["simple", "sum_rf", "heli"])
@@ -372,8 +371,9 @@ def test_sweep_empty_grid_errors(tiny_task):
     train, dev = tiny_task
     with pytest.raises(ValueError):
         sweep(train, dev, "nb", [], [2.0])
-    with pytest.raises(ValueError):
-        sweep(train, dev, "nb", [NgramRange(1, 2)], [])
+    for method in ADAPT_METHODS:  # simple and sum_rf too, though they sweep pm 1.0
+        with pytest.raises(ValueError, match="no penalty modifiers"):
+            sweep(train, dev, method, [NgramRange(1, 2)], [])
     with pytest.raises(ValueError, match="unknown method"):
         sweep(train, dev, "tfidf", [NgramRange(1, 2)], [2.0])
     for jobs in (0, -3):
@@ -458,7 +458,7 @@ def test_nb_sweep_scores_equal_direct_scores(monkeypatch, seed):
     assert not grams[100]
     assert dict(dict(grams[101].groups)[4])[" zzq"] == 3
     assert " zzq" not in base.models["ab"].counts[4]
-    assert 5 not in base.models["sh"].counts and base.models["sh"].penalty(5) == 0.0
+    assert 5 not in base.models["sh"].counts and 5 not in base.models["sh"].totals
     assert any(n == 5 for g in grams.values() for n, _ in g.groups)
 
 
@@ -476,3 +476,12 @@ def test_nb_sweep_computes_terms_once_per_document_and_language(synth_task, monk
     result = sweep(train, dev, "nb", GRID[:3], [1.2, 1.5, 2.0, 2.15], adapt=adapt)
     assert len(result.rows) == 12
     assert len(calls) == len(dev) * len(train.label_set)
+
+
+@pytest.mark.parametrize("adapt", [None, AdaptConfig(k=2, epochs=0)], ids=["plain", "epochs0"])
+def test_nb_sweep_cells_clone_no_model(synth_task, monkeypatch, adapt):
+    # each cell charges its pm to the union build's totals directly
+    train, dev = synth_task
+    want = sweep(train, dev, "nb", GRID, [1.2, 2.15], adapt=adapt)
+    monkeypatch.setattr(NgramModel, "clone", None)
+    assert sweep(train, dev, "nb", GRID, [1.2, 2.15], adapt=adapt) == want

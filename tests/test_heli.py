@@ -23,6 +23,7 @@ from ngramlid import (
 )
 from ngramlid.corpus import Corpus, Document, normalize
 from ngramlid.heli import WORD_LENGTH_KEY, _last_resort_values
+from ngramlid.ngram import _penalty
 
 
 @pytest.fixture
@@ -477,18 +478,18 @@ def test_known_items_with_pm_shared_sliced_and_copied(mixed):
     assert [heli_score_doc(d, models) for d in probes] == parent_scores
 
 
-def _reference_word_values(word, by_lang):
+def _reference_word_values(word, by_lang, pm):
     if not any(word in m.counts.get(WORD_LENGTH_KEY, {}) for m in by_lang.values()):
         return None
     return {
         lang: -math.log(m.counts[WORD_LENGTH_KEY][word] / m.totals[WORD_LENGTH_KEY])
         if word in m.counts.get(WORD_LENGTH_KEY, {})
-        else m.penalty(WORD_LENGTH_KEY)
+        else _penalty(pm, m.totals.get(WORD_LENGTH_KEY, 0))
         for lang, m in by_lang.items()
     }
 
 
-def _reference_gram_values(word, rng, by_lang):
+def _reference_gram_values(word, rng, by_lang, pm):
     padded = f" {word} "
 
     def known(gram, length):
@@ -511,7 +512,11 @@ def _reference_gram_values(word, rng, by_lang):
                 used += 1
                 for lang, m in by_lang.items():
                     c = m.counts.get(length, {}).get(gram)
-                    sums[lang] += m.penalty(length) if c is None else -math.log(c / m.totals[length])
+                    sums[lang] += (
+                        _penalty(pm, m.totals.get(length, 0))
+                        if c is None
+                        else -math.log(c / m.totals[length])
+                    )
         return {lang: v / used for lang, v in sums.items()}
     return None
 
@@ -529,9 +534,9 @@ def _reference_score_doc(doc, models):
             word = lower if is_lower else orig
             by_lang = models.submodels[kind]
             if rng is None:
-                values = _reference_word_values(word, by_lang)
+                values = _reference_word_values(word, by_lang, models.config.pm)
             else:
-                values = _reference_gram_values(word, rng, by_lang)
+                values = _reference_gram_values(word, rng, by_lang, models.config.pm)
             if values is not None:
                 break
         else:

@@ -17,6 +17,7 @@ from ngramlid import (
     extract_ngrams,
     heli_add_document,
     heli_build,
+    heli_score_doc,
     load_heli_models,
     load_models,
     normalize,
@@ -25,7 +26,8 @@ from ngramlid import (
 )
 from ngramlid.corpus import Document, ordered_split
 from ngramlid.heli import HeliModelSet
-from ngramlid.ngram import GramGroups
+from ngramlid.ngram import GramGroups, _penalty
+from ngramlid.scorers import METHODS, score_with
 from ngramlid.synth import generate, spec_from_dict
 
 
@@ -136,17 +138,18 @@ def test_penalty_formula(make_corpus):
     model_set = build_models(corpus, NgramRange(2, 2), pm=2.15)
     model = model_set.models["A"]
     assert model.totals[2] == 75  # 25 words, 3 two-grams each
-    assert model.penalty(2) == pytest.approx(2.15 * math.log(75), rel=1e-12)
+    pen = _penalty(model_set.penalty_modifier, model.totals[2])
+    assert pen == pytest.approx(2.15 * math.log(75), rel=1e-12)
 
 
 def test_penalty_formula_round_totals():
     from ngramlid import NgramModel
 
-    model = NgramModel(language="A", penalty_modifier=2.15)
+    model = NgramModel(language="A")
     model.counts = {2: {"ab": 60, "cd": 40}}
     model.refresh()
     assert model.totals[2] == 100
-    assert model.penalty(2) == pytest.approx(2.15 * math.log(100), rel=1e-12)
+    assert _penalty(2.15, model.totals[2]) == pytest.approx(2.15 * math.log(100), rel=1e-12)
 
 
 def test_penalty_zero_for_missing_length(make_corpus):
@@ -154,7 +157,7 @@ def test_penalty_zero_for_missing_length(make_corpus):
     corpus = make_corpus([("a b", "A")])
     model_set = build_models(corpus, NgramRange(1, 6), pm=2.0)
     model = model_set.models["A"]
-    assert model.penalty(6) == 0.0
+    assert _penalty(model_set.penalty_modifier, model.totals.get(6, 0)) == 0.0
     assert model.totals.get(6) is None
 
 
@@ -239,8 +242,9 @@ def test_scale_invariance_property(make_corpus):
             for n, grams in b.counts.items():
                 for gram in grams:
                     assert s.rel_freq(gram) == b.rel_freq(gram)
-                assert s.penalty(n) == pytest.approx(
-                    b.penalty(n) + 2.0 * math.log(k), rel=1e-12
+                assert s.totals[n] == k * b.totals[n]
+                assert _penalty(2.0, s.totals[n]) == pytest.approx(
+                    _penalty(2.0, b.totals[n]) + 2.0 * math.log(k), rel=1e-12
                 )
 
 
@@ -333,7 +337,7 @@ def test_load_rejects_inconsistent_rows(tmp_path):
 
 
 def _refreshed(model):
-    fresh = NgramModel(model.language, model.penalty_modifier, counts=model.counts)
+    fresh = NgramModel(model.language, counts=model.counts)
     fresh.refresh()
     return fresh
 
@@ -357,9 +361,7 @@ def test_incremental_statistics_equal_a_full_refresh(make_corpus):
     model.add_grams(Counter({"word": 2, "w": 1}), length=0)
     assert {4, 5, 6, 9, 0} <= set(model.counts)
     for m in model_set.models.values():
-        fresh = _refreshed(m)
-        assert m.totals == fresh.totals
-        assert m.penalties == fresh.penalties
+        assert m.totals == _refreshed(m).totals
 
 
 def test_heli_incremental_statistics_equal_a_full_refresh(make_corpus):
@@ -379,9 +381,7 @@ def test_heli_incremental_statistics_equal_a_full_refresh(make_corpus):
     assert max(models.submodels["gramL"]["A"].counts) == 7
     for by_lang in models.submodels.values():
         for m in by_lang.values():
-            fresh = _refreshed(m)
-            assert m.totals == fresh.totals
-            assert m.penalties == fresh.penalties
+            assert m.totals == _refreshed(m).totals
 
 
 @pytest.mark.parametrize("label", ["", "#x", "a\tb", "a\rb", "a\nb"])
@@ -569,9 +569,7 @@ def test_slice_of_union_build_equals_direct_build(tmp_path, kind):
         for sub_kind, by_lang in direct.submodels.items():
             for lang, model in by_lang.items():
                 got = sliced.submodels[sub_kind][lang]
-                assert got.counts == model.counts
-                assert got.totals == model.totals
-                assert got.penalties == model.penalties
+                assert got == model
         save(sliced, tmp_path / "sliced.tsv")
         save(direct, tmp_path / "direct.tsv")
         assert (tmp_path / "sliced.tsv").read_bytes() == (tmp_path / "direct.tsv").read_bytes()
@@ -657,7 +655,6 @@ def _assert_models_equal(got, want):
     for lang, model in want.items():
         assert got[lang].counts == model.counts
         assert got[lang].totals == model.totals
-        assert got[lang].penalties == model.penalties
 
 
 @pytest.mark.parametrize("lowercase", [True, False])
@@ -671,7 +668,7 @@ def test_build_models_equals_per_document_folds(
         corpus = make_corpus(_random_build_corpus(rnd))
         rng = NgramRange(rnd.randint(1, 4), rnd.randint(4, 8))
         pm = rnd.choice([1.0, 2.15, 3.5])
-        want = {lang: NgramModel(lang, pm) for lang in corpus.label_set}
+        want = {lang: NgramModel(lang) for lang in corpus.label_set}
         for doc in corpus:
             norm = normalize(doc.text, concatenate=concatenate)
             grams = _reference_extract(norm.lowercased if lowercase else norm.words, rng, pad)
@@ -708,8 +705,7 @@ def test_heli_build_equals_per_document_folds(tmp_path, make_corpus, domains):
             pm=rnd.choice([1.0, 2.15]),
         )
         kinds = config.enabled_kinds()
-        want = {kind: {lang: NgramModel(lang, config.pm) for lang in corpus.label_set}
-                for kind in kinds}
+        want = {kind: {lang: NgramModel(lang) for lang in corpus.label_set} for kind in kinds}
         for doc in corpus:
             norm = normalize(doc.text)
             for kind, rng, lower in config._domains:
@@ -718,8 +714,9 @@ def test_heli_build_equals_per_document_folds(tmp_path, make_corpus, domains):
                 if items:
                     want[kind][doc.label].add_grams(items, 0 if rng is None else None)
         # the adaptation fold: heli_add_document into empty sub-models
-        folded = HeliModelSet(config, {kind: {lang: NgramModel(lang, config.pm)
-                                              for lang in corpus.label_set} for kind in kinds})
+        folded = HeliModelSet(
+            config, {kind: {lang: NgramModel(lang) for lang in corpus.label_set} for kind in kinds}
+        )
         for doc in corpus:
             heli_add_document(folded, doc, doc.label)
         for kind in kinds:
@@ -755,3 +752,92 @@ def test_builders_reject_a_language_of_wordless_documents(make_corpus, domains):
     )
     with pytest.raises(ValueError, match="language 'čd': nothing counted"):
         heli_build(corpus, config)
+
+
+# -- round trips and re-penalized clones ---------------------------------------
+
+
+def _reloaded(models, path):
+    """``models`` saved to ``path`` and read back."""
+    if isinstance(models, HeliModelSet):
+        save_heli_models(models, path)
+        return load_heli_models(path)
+    save_models(models, path)
+    return load_models(path)
+
+
+def _all_scores(models, probes):
+    """Every method's scores of every probe document, in probe order."""
+    if isinstance(models, HeliModelSet):
+        return [heli_score_doc(doc, models) for doc in probes]
+    return [
+        score_with(method, models.doc_grams(doc), models) for method in METHODS for doc in probes
+    ]
+
+
+def _assert_round_trips(tmp_path, build, probes, pm, pm2):
+    """A build at ``pm`` survives save -> load, and its ``with_pm(pm2)``
+    clones, sharing or copying counts, equal a fresh build at ``pm2`` in
+    process and after save -> load, down to every score's bits. Returns
+    False when some language had nothing to count."""
+    try:
+        built = build(pm)
+    except ValueError as exc:
+        assert "nothing counted" in str(exc)
+        return False
+    assert _reloaded(built, tmp_path / "built.tsv") == built
+    fresh = build(pm2)
+    want = _all_scores(fresh, probes)
+    for copy_counts in (False, True):
+        clone = built.with_pm(pm2, copy_counts)
+        for models in (clone, _reloaded(clone, tmp_path / "clone.tsv")):
+            assert models == fresh
+            assert _all_scores(models, probes) == want
+    return True
+
+
+def _round_trip_cases(rnd, make_corpus):
+    """Random non-ASCII, mixed-case training corpora, with probe documents
+    drawn the same way, and two distinct penalty modifiers."""
+    for _ in range(6):
+        corpus = make_corpus(_random_build_corpus(rnd))
+        probes = [Document(i, text) for i, (text, _) in enumerate(_random_build_corpus(rnd))]
+        yield corpus, probes, *rnd.sample([1.0, 1.5, 2.15, 3.5], 2)
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+@pytest.mark.parametrize("pad", [True, False])
+@pytest.mark.parametrize("concatenate", [False, True])
+def test_gram_models_round_trip_under_a_new_pm(
+    tmp_path, make_corpus, lowercase, pad, concatenate
+):
+    rnd = random.Random(f"round-trip-{lowercase}-{pad}-{concatenate}")
+    built = 0
+    for corpus, probes, pm, pm2 in _round_trip_cases(rnd, make_corpus):
+        rng = NgramRange(rnd.randint(1, 4), rnd.randint(4, 8))
+
+        def build(pm):
+            return build_models(corpus, rng, pm, lowercase, pad, concatenate)
+
+        built += _assert_round_trips(tmp_path, build, probes, pm, pm2)
+    assert built
+
+
+@pytest.mark.parametrize("domains", HELI_SUBSETS, ids="+".join)
+def test_heli_models_round_trip_under_a_new_pm(tmp_path, make_corpus, domains):
+    rnd = random.Random("round-trip-" + "+".join(domains))
+    built = 0
+    for corpus, probes, pm, pm2 in _round_trip_cases(rnd, make_corpus):
+        lnr, onr = (NgramRange(rnd.randint(1, 4), rnd.randint(4, 8)) for _ in range(2))
+
+        def build(pm):
+            return heli_build(corpus, HeliConfig(
+                lnr=lnr if "lnr" in domains else None,
+                onr=onr if "onr" in domains else None,
+                lw="lw" in domains,
+                ow="ow" in domains,
+                pm=pm,
+            ))
+
+        built += _assert_round_trips(tmp_path, build, probes, pm, pm2)
+    assert built

@@ -19,18 +19,18 @@ from ngramlid import (
     score_sum_rf,
 )
 from ngramlid.corpus import Document
+from ngramlid.ngram import _penalty
 from ngramlid.scorers import score_with, to_prediction
 
 
-def _model(language: str, pm: float, counts: dict[int, dict[str, int]]) -> NgramModel:
-    model = NgramModel(language=language, penalty_modifier=pm)
-    model.counts = counts
+def _model(language: str, counts: dict[int, dict[str, int]]) -> NgramModel:
+    model = NgramModel(language=language, counts=counts)
     model.refresh()
     return model
 
 
 def _model_set(rng: NgramRange, pm: float, **by_lang) -> ModelSet:
-    models = {lang: _model(lang, pm, counts) for lang, counts in by_lang.items()}
+    models = {lang: _model(lang, counts) for lang, counts in by_lang.items()}
     return ModelSet(models=models, range=rng, penalty_modifier=pm)
 
 
@@ -191,8 +191,8 @@ def test_nb_unseen_gram_shifts_by_equal_penalty():
         A={2: {" a": 2, "aa": 2, "a ": 2}},
         B={2: {" b": 2, "bb": 2, "b ": 2}},
     )
-    pen = ms.models["A"].penalty(2)
-    assert pen == ms.models["B"].penalty(2)
+    assert ms.models["A"].totals == ms.models["B"].totals == {2: 6}
+    pen = _penalty(ms.penalty_modifier, 6)
 
     base = Counter({" a": 1, "aa": 1})
     extended = Counter({" a": 1, "aa": 1, "zz": 1})
