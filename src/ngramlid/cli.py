@@ -14,6 +14,14 @@ or a library call is; so is an out-of-range gram range (``--min-n 0``,
 since it sets how a sweep runs rather than what it computes; and the
 sweep grids ``--ranges`` and ``--pms`` are read whole by the command,
 so any bad grid is a data error.
+
+Numbers are spelled plainly. The number flags (``--pm``, ``--ct``,
+``--fraction``) and each ``--pms`` value take what Python's ``float()``
+takes except its ``_`` digit separators, so ``--pm 2_15`` is refused as
+``--pm abc`` is, not read as 215. A model file's ``#pm`` header must be
+spelled as the writer spells it, the float's ``repr`` (``2.15``,
+``2.0``); any other spelling (``2_15``, ``+2.15``, ``2.150``) is a model
+error, exit 2, so no file loads and saves back differently.
 """
 
 from __future__ import annotations
@@ -74,6 +82,21 @@ def _parse_yn(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected y or n, got {value!r}")
 
 
+def _plain_float(value: str) -> float:
+    """``float(value)`` without the ``_`` digit separators ``float`` also takes."""
+    if "_" in value:
+        raise ValueError(f"expected a plain number, got {value!r}")
+    return float(value)
+
+
+def _number(value: str) -> float:
+    """A number flag's value, read by ``_plain_float``."""
+    try:
+        return _plain_float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
+
+
 def _positive_int(value: str) -> int:
     try:
         n = int(value)
@@ -110,7 +133,7 @@ def parse_pms_spec(spec: str) -> list[float]:
     """Parse a penalty grid: ``2.15,2.2`` or ``2.10:2.20:0.01`` inclusive."""
     if ":" in spec:
         start_s, stop_s, step_s = spec.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
+        start, stop, step = (_plain_float(v) for v in (start_s, stop_s, step_s))
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise ValueError(f"pm grid {spec!r} needs a finite start, stop and step")
         if step <= 0:
@@ -123,7 +146,7 @@ def parse_pms_spec(spec: str) -> list[float]:
         if len(set(values)) != count:
             raise ValueError(f"pm grid {spec!r} repeats values once rounded to 12 decimals")
         return values
-    return [float(part) for part in spec.split(",") if part]
+    return [_plain_float(part) for part in spec.split(",") if part]
 
 
 def write_predictions(preds: list[Prediction], path: str | Path) -> None:
@@ -272,7 +295,7 @@ def _add_adapt_args(p: argparse.ArgumentParser, k=None, epochs=None) -> None:
     """The flags ``_adapt_config`` reads, per subcommand: shared actions share defaults."""
     p.add_argument("--adapt-k", type=_parse_k, default=k,
                    help="adaptation splits (integer or 'full')")
-    p.add_argument("--ct", type=float, default=None, help="confidence threshold")
+    p.add_argument("--ct", type=_number, default=None, help="confidence threshold")
     p.add_argument("--epochs", type=int, default=epochs, help="adaptation epochs")
 
 
@@ -282,7 +305,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="ordered per-label train/dev split")
     p.add_argument("--in", dest="infile", required=True, help="labeled TSV corpus")
-    p.add_argument("--fraction", type=float, default=0.9, help="train fraction")
+    p.add_argument("--fraction", type=_number, default=0.9, help="train fraction")
     p.add_argument("--train", required=True, help="output training TSV")
     p.add_argument("--dev", required=True, help="output dev TSV")
     p.set_defaults(func=_cmd_split)
@@ -297,7 +320,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--min-n", type=int, default=2, help="shortest gram length")
     p.add_argument("--max-n", type=int, default=6, help="longest gram length")
-    p.add_argument("--pm", type=float, default=2.15, help="penalty modifier")
+    p.add_argument("--pm", type=_number, default=2.15, help="penalty modifier")
     p.add_argument("--model", required=True, help="output model file")
     p.add_argument("--keep-case", action="store_true", help="do not lowercase grams")
     p.add_argument("--no-pad", action="store_true", help="no space padding around words")
@@ -355,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output predictions TSV")
     p.add_argument("--min-n", type=int, default=SYSTEM1_RANGE.min_n)
     p.add_argument("--max-n", type=int, default=SYSTEM1_RANGE.max_n)
-    p.add_argument("--pm", type=float, default=SYSTEM1_PM)
+    p.add_argument("--pm", type=_number, default=SYSTEM1_PM)
     _add_adapt_args(p, k=SYSTEM1_K, epochs=1)
     p.add_argument("--trace", default=None, help="adoption trace TSV output")
     p.set_defaults(func=_cmd_system1)

@@ -135,26 +135,61 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _nb_cell_scores(
-    terms: dict[str, list], pens: dict[str, dict[int, float]], rng: NgramRange
-) -> dict[str, float]:
-    """One document's nb scores in the cell of ``rng``.
+def _exact_parts(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of ``terms``.
 
-    ``terms`` maps a language to ``_nb_length_terms`` of the document on
+    The first part is ``fsum(terms)``, each next one the ``fsum`` of what
+    the parts so far leave, until nothing is left: usually 1-3 floats.
+    ``fsum`` rounds the exact sum of its inputs correctly, so for any
+    ``extra``, ``fsum(parts + extra)`` and ``fsum(terms + extra)`` are the
+    same float (short of overflow). The first part is kept even when it is zero, so the sign
+    of an all-zero sum follows ``fsum`` over the terms.
+    """
+    if not terms:
+        return []
+    parts = [math.fsum(terms)]
+    while rest := math.fsum(terms + [-p for p in parts]):
+        parts.append(rest)
+    return parts
+
+
+def _compact_terms(split: list[tuple[int, list[float], list[int]]]) -> list[tuple]:
+    """``_nb_length_terms`` in compact form, ``(length, parts, groups)``
+    per length: the present terms as ``_exact_parts``, and the absent
+    multiplicities as ``(mult, copies)`` pairs."""
+    return [(n, _exact_parts(present), Counter(absent).items()) for n, present, absent in split]
+
+
+def _range_terms(compact: list[tuple], rng: NgramRange) -> tuple[list[float], list[tuple]]:
+    """The parts of ``rng``'s lengths in one list, and their absent
+    groups as ``(length, mult, copies)``; every pm of the range shares them."""
+    parts: list[float] = []
+    absent = []
+    for n, length_parts, groups in compact:
+        if rng.holds(n):
+            parts += length_parts
+            absent += [(n, mult, copies) for mult, copies in groups]
+    return parts, absent
+
+
+def _nb_cell_scores(
+    terms: dict[str, tuple[list[float], list[tuple]]], pens: dict[str, dict[int, float]]
+) -> dict[str, float]:
+    """One document's nb scores in one cell.
+
+    ``terms`` maps a language to the ``_range_terms`` of the document on
     the union build, and ``pens`` to the cell's ``_penalty`` per gram
     length of that build's totals; a length a language has no total for
     costs 0, as ``_penalty`` gives. Each absent gram gets its own
-    ``mult * pen`` term, as in ``_score_nb``.
+    ``mult * pen`` term, as in ``_score_nb``, and the parts carry the
+    exact sum of the present terms, so ``fsum`` gives ``_score_nb``'s bits.
     """
     scores = {}
-    for lang, by_len in terms.items():
+    for lang, (parts, absent) in terms.items():
         pen_of = pens[lang]
-        cell: list[float] = []
-        for n, present, absent in by_len:
-            if rng.holds(n):
-                cell += present
-                pen = pen_of.get(n, 0.0)
-                cell += [mult * pen for mult in absent]
+        cell = parts.copy()
+        for n, mult, copies in absent:
+            cell += [mult * pen_of.get(n, 0.0)] * copies
         scores[lang] = math.fsum(cell)
     return scores
 
@@ -167,10 +202,17 @@ def _sweep_ranges(args) -> list[SweepRow]:
     both per gram length, so each cell scores the length slices of both,
     which equal a build and an extraction over the cell's range alone.
     An nb sweep without adaptation goes further: it splits each dev
-    document's terms once per language on the union build, and each cell
-    sums its range's lengths under its own penalties (``_nb_cell_scores``),
-    with no model clone. Scores, and so the rows, equal
-    ``adaptive_identify`` with ``epochs=0`` on the cell's slices.
+    document's terms once per language on the union build and compacts
+    each length's once (``_compact_terms``): present terms into
+    ``_exact_parts``, absent multiplicities into ``(mult, copies)``
+    groups. Each range gathers its lengths' parts and groups once per
+    document and language (``_range_terms``), shared by all its pms, and
+    each cell adds one ``mult * pen`` term per absent gram under its own
+    penalties and sums with ``fsum`` (``_nb_cell_scores``), with no model
+    clone. ``fsum`` depends only on the exact sum of its inputs, and the
+    parts keep the present terms' exact sum, so scores, and so the rows,
+    equal ``adaptive_identify`` with ``epochs=0`` on the cell's slices,
+    bit for bit.
     """
     train, dev, method, ranges, pms, adapt = args
     union = NgramRange(min(r.min_n for r in ranges), max(r.max_n for r in ranges))
@@ -183,15 +225,22 @@ def _sweep_ranges(args) -> list[SweepRow]:
         dev_grams = {doc.id: GramGroups(base.doc_grams(doc)) for doc in dev}
         if method == "nb" and adapt.epochs == 0:
             terms = {
-                i: {lang: _nb_length_terms(g.groups, m) for lang, m in base.models.items()}
+                i: {
+                    lang: _compact_terms(_nb_length_terms(g.groups, m))
+                    for lang, m in base.models.items()
+                }
                 for i, g in dev_grams.items()
             }
             dev_grams = None  # its cells read the terms, so no grams are sliced
     rows = []
     for rng in ranges:
         grams = None if dev_grams is None else {i: g.sliced(rng) for i, g in dev_grams.items()}
+        cells = None if terms is None else {
+            i: {lang: _range_terms(compact, rng) for lang, compact in by_lang.items()}
+            for i, by_lang in terms.items()
+        }
         for pm in pms:
-            if terms is None:
+            if cells is None:
                 models = base.with_pm(pm, copy_counts=adapt.epochs > 0, rng=rng)
                 preds = adaptive_identify(dev, models, method, adapt, grams=grams)
             else:
@@ -200,7 +249,7 @@ def _sweep_ranges(args) -> list[SweepRow]:
                     for lang, m in base.models.items()
                 }
                 preds = [
-                    to_prediction(doc.id, _nb_cell_scores(terms[doc.id], pens, rng), lower=True)
+                    to_prediction(doc.id, _nb_cell_scores(cells[doc.id], pens), lower=True)
                     for doc in dev
                 ]
             report = evaluate(preds, dev)
@@ -223,9 +272,12 @@ def sweep(
     sliced per cell; each dev document is extracted once. Without
     adaptation, an nb sweep also computes each dev document's per-length
     terms once per language: present grams' ``-log`` frequencies and
-    absent grams' multiplicities. Each cell then only charges its
-    penalties, from the union build's totals, and sums its range's
-    lengths with ``math.fsum``, which gives the bits of a direct score.
+    absent grams' multiplicities. The present terms of a length are kept
+    as a few floats with the same exact sum (usually 1-3), and each
+    range joins its lengths' floats once for all its pms. Each cell then
+    only charges its penalties, from the union build's totals, and sums
+    with ``math.fsum``; being correctly rounded, ``fsum`` gives the bits
+    of a direct score from any inputs with the same exact sum.
     The grid must hold a pm, and every pm is checked, before anything is
     built, for every method. The two methods that never smooth (simple,
     sum_rf) then sweep one cell per range, reported with pm 1.0, whatever

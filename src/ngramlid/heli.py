@@ -351,7 +351,7 @@ def save_heli_models(models: HeliModelSet, path: str | Path) -> None:
     config = models.config
     header = [
         "#version 1",
-        f"#pm {config.pm!r}",
+        f"#pm {float(config.pm)!r}",
         "#log natural",
         f"#lnr {_range_header(config.lnr)}",
         f"#onr {_range_header(config.onr)}",

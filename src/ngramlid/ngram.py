@@ -406,7 +406,7 @@ def save_models(model_set: ModelSet, path: str | Path) -> None:
     header = [
         "#version 1",
         f"#range {model_set.range.min_n} {model_set.range.max_n}",
-        f"#pm {model_set.penalty_modifier!r}",
+        f"#pm {float(model_set.penalty_modifier)!r}",
         "#log natural",
         f"#lowercase {int(model_set.lowercase)}",
         f"#pad {int(model_set.pad)}",
@@ -458,9 +458,16 @@ def _check_header_keys(path: Path, header: dict[str, str], *kind_keys: str) -> N
 
 
 def _parse_pm(path: Path, header: dict[str, str]) -> float:
+    """The ``#pm`` header, spelled as the writer spells it: ``repr`` of
+    the float (``2.15``, ``2.0``, ``1e-05``). ``float()`` also takes
+    other spellings (``2_15`` is 215.0; ``+2.15``, ``2.150``), which would
+    load and save back differently, so they are refused."""
     try:
-        pm = float(header["pm"])
+        value = header["pm"]
+        pm = float(value)
         _check_pm(pm)
+        if repr(pm) != value:
+            raise ValueError(f"pm {value!r} is not spelled as the writer spells it ({pm!r})")
     except (KeyError, ValueError) as exc:
         raise ModelIOError(f"{path}: bad or missing header: {exc}") from exc
     return pm

@@ -85,8 +85,10 @@ def _nb_length_terms(grouped, model: NgramModel) -> list[tuple[int, list[float],
     ``mult * _penalty(pm, model.totals.get(length, 0))`` per ``absent``
     entry, for every length of a range, is exactly rounded over the same
     terms as ``_score_nb`` on the range's slice, so it gives the same
-    float. The two stay separate loops: scoring through this split
-    measured slower on the adaptation hot path.
+    float. Any floats with the exact sum of ``present`` give it too, so
+    the sweep keeps each length's present terms as a few such floats
+    (``evaluation._exact_parts``). The two stay separate loops: scoring
+    through this split measured slower on the adaptation hot path.
     """
     split = []
     for length, items in grouped:

@@ -604,3 +604,57 @@ def test_dispatcher_reads_the_model_file_once(tmp_path, corpus_file, monkeypatch
     monkeypatch.setattr(cli.Path, "read_text", counting_read_text)
     _load_any_models(str(model), None)
     assert reads == [model]
+
+
+@pytest.mark.parametrize("method", ["nb", "heli"])
+def test_pm_header_in_any_other_spelling_exits_2(tmp_path, corpus_file, capsys, method):
+    # float() reads all of these; only the writer's spelling may load, so
+    # no file loads and saves back differently
+    train, dev = _split(tmp_path, corpus_file)
+    model = tmp_path / "model.tsv"
+    assert main(["train", "--in", str(train), "--method", method, "--model", str(model)]) == 0
+    test_file = _strip_labels(tmp_path, dev)
+    identify = ["identify", "--model", str(model), "--in", str(test_file),
+                "--out", str(tmp_path / "p.tsv")]
+    text = model.read_text(encoding="utf-8")
+    assert "\n#pm 2.15\n" in text
+    for pm in ("2_15", "+2.15", "2.150", "2.15e0", " 2.15", "2.15 ", "0002.15", "215e-2"):
+        model.write_text(text.replace("#pm 2.15\n", f"#pm {pm}\n"), encoding="utf-8")
+        capsys.readouterr()
+        assert main(identify) == 2, pm
+        assert f"pm {pm!r} is not spelled as the writer spells it" in capsys.readouterr().err
+    model.write_text(text, encoding="utf-8")
+    assert main(identify) == 0
+
+
+def test_number_flags_refuse_digit_separators(tmp_path, corpus_file, capsys):
+    train, dev = _split(tmp_path, corpus_file)
+    model = tmp_path / "model.tsv"
+    test_file = _strip_labels(tmp_path, dev)
+    identify = ["identify", "--model", str(model), "--in", str(test_file),
+                "--out", str(tmp_path / "p.tsv")]
+    usage = {
+        "--pm": ["train", "--in", str(train), "--model", str(model), "--pm", "2_15"],
+        "--ct": identify + ["--ct", "1_0"],
+        "--fraction": ["split", "--in", str(corpus_file), "--fraction", "0_9",
+                       "--train", str(tmp_path / "t.tsv"), "--dev", str(tmp_path / "d.tsv")],
+        "system1 --pm": ["system1", "--train", str(train), "--test", str(test_file),
+                         "--out", str(tmp_path / "s.tsv"), "--pm", "2_15"],
+    }
+    for what, argv in usage.items():
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1, what
+        assert f"argument {what.split()[-1]}: expected a number" in capsys.readouterr().err
+    assert not model.exists()
+    for spec in ("2_15,1.5", "1.5,abc", "1_0:2:0.5", "1:2:0_5"):
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep", "--train", str(train), "--dev", str(dev),
+                     "--ranges", "1-2", "--pms", spec, "--out", str(out)]) == 2, spec
+        assert not out.exists()
+    # the plain spellings float() takes still work
+    assert parse_pms_spec("1e0,+2.5") == [1.0, 2.5]
+    assert main(["train", "--in", str(train), "--model", str(model), "--pm", "2.150"]) == 0
+    assert main(identify + ["--ct", "1e0"]) == 0
+    assert "\n#pm 2.15\n" in model.read_text(encoding="utf-8")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +22,7 @@ from ngramlid import (
 from ngramlid.adaptation import ADAPT_METHODS
 from ngramlid.corpus import Corpus, Document, ordered_split
 from ngramlid import evaluation
-from ngramlid.evaluation import SweepResult, SweepRow
+from ngramlid.evaluation import SweepResult, SweepRow, _exact_parts
 from ngramlid.ngram import GramGroups, NgramModel
 from ngramlid.scorers import _nb_length_terms, score_with, to_prediction
 from ngramlid.synth import generate, spec_from_dict
@@ -431,6 +433,44 @@ def _random_nb_task(seed):
     return train, Corpus(docs=tuple(dev))
 
 
+def _awkward_floats(rnd, count):
+    """Floats that stress an exact sum: exponents from about 1e-300 to
+    1e300, subnormals, signed zeros, and each value's near-negation, so
+    that large terms cancel."""
+    out = []
+    for _ in range(count):
+        kind = rnd.randrange(5)
+        if kind == 0:
+            x = rnd.uniform(-10, 10) * 10.0 ** rnd.randint(-300, 300)
+        elif kind == 1:
+            x = rnd.randint(-(2**52), 2**52) * math.ulp(0.0)  # subnormal
+        elif kind == 2:
+            x = rnd.choice((0.0, -0.0))
+        elif kind == 3 and out:
+            y = rnd.choice(out)  # cancels y but for its last bits
+            x = -y + rnd.choice((0.0, math.ulp(y), -math.ulp(y), rnd.uniform(-1, 1)))
+        else:
+            x = rnd.uniform(-50, 50)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_parts_keep_every_fsum_bit(seed):
+    rnd = random.Random(seed)
+    for case in range(600):
+        if case % 10 == 0:  # all zeros, -0.0 among them
+            terms = [rnd.choice((0.0, -0.0)) for _ in range(rnd.randint(1, 4))]
+        else:
+            terms = _awkward_floats(rnd, rnd.randint(0, 12))
+        parts = _exact_parts(terms)
+        assert sum(map(Fraction, parts)) == sum(map(Fraction, terms))
+        assert len(parts) == bool(terms) + sum(1 for p in parts[1:] if p)
+        assert not terms or parts[0].hex() == math.fsum(terms).hex()
+        for extra in ([], [0.0], [-0.0], _awkward_floats(rnd, rnd.randint(1, 6))):
+            assert math.fsum(parts + extra).hex() == math.fsum(terms + extra).hex(), (terms, extra)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_nb_sweep_scores_equal_direct_scores(monkeypatch, seed):
     # every score the term cache produces == score_with on the cell's
@@ -453,7 +493,19 @@ def test_nb_sweep_scores_equal_direct_scores(monkeypatch, seed):
         (doc.id, score_with("nb", grams[doc.id].sliced(rng), base.with_pm(pm, rng=rng)))
         for rng in ranges for pm in pms for doc in dev
     ]
-    assert scored == expected
+    # by float.hex, which, unlike ==, tells -0.0 from 0.0
+    assert [(i, {lang: s.hex() for lang, s in scores.items()}) for i, scores in scored] == [
+        (i, {lang: s.hex() for lang, s in scores.items()}) for i, scores in expected
+    ]
+    # absent grams repeated within a length, and one of multiplicity
+    # above 1, in a range of two or more lengths
+    split = [(n, absent) for g in grams.values() for m in base.models.values()
+             for n, _, absent in _nb_length_terms(g.groups, m)]
+    assert any(len(absent) > len(set(absent)) for _, absent in split)
+    assert any(
+        rng.min_n < rng.max_n and rng.holds(n) and max(absent, default=0) > 1
+        for rng in ranges for n, absent in split
+    )
     # the cases the docstring of _random_nb_task promises
     assert not grams[100]
     assert dict(dict(grams[101].groups)[4])[" zzq"] == 3

@@ -267,6 +267,19 @@ def test_save_load_round_trip_defaults(tmp_path, make_corpus):
     assert load_models(path) == model_set
 
 
+def test_an_integer_pm_is_saved_in_a_spelling_that_loads(tmp_path, make_corpus):
+    # the reader takes only repr(float), so the writers write that
+    corpus = make_corpus([("aa bb", "A"), ("cc", "B")])
+    path = tmp_path / "model.tsv"
+    save_models(build_models(corpus, NgramRange(2, 3), pm=2), path)
+    assert "\n#pm 2.0\n" in path.read_text(encoding="utf-8")
+    assert load_models(path).penalty_modifier == 2.0
+    config = HeliConfig(NgramRange(1, 2), None, lw=True, ow=False, pm=2)
+    save_heli_models(heli_build(corpus, config), path)
+    assert "\n#pm 2.0\n" in path.read_text(encoding="utf-8")
+    assert load_heli_models(path).config.pm == 2.0
+
+
 def test_saved_rows_are_sorted(tmp_path, make_corpus):
     corpus = make_corpus([("ba ab", "B"), ("ab", "A")])
     model_set = build_models(corpus, NgramRange(1, 2), pm=1.0)
