@@ -33,12 +33,13 @@ import sys
 from pathlib import Path
 
 from .adaptation import FULL, AdaptConfig, adaptive_identify
-from .corpus import CorpusError, load_tsv, ordered_split, save_tsv
+from .corpus import CorpusError, _read_lines, load_tsv, ordered_split, save_tsv
 from .evaluation import evaluate, sweep
 from .heli import HeliConfig, heli_build, parse_heli_models, save_heli_models
 from .ngram import (
     ModelIOError,
     NgramRange,
+    _is_canonical_int,
     _read_model_lines,
     build_models,
     is_heli_model_file,
@@ -156,21 +157,38 @@ def write_predictions(preds: list[Prediction], path: str | Path) -> None:
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
+    """Read a file in the form ``write_predictions`` writes, line by line.
+
+    Lines are split as ``corpus._read_lines`` splits them. Each line is
+    ``doc_id<TAB>label<TAB>margin``: the id spelled as the writer spells
+    an integer, a non-empty label, and a margin spelled as its float's
+    ``repr`` that is neither negative nor NaN. Anything else raises
+    :class:`CorpusError` with the line number.
+    """
     preds = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise CorpusError(f"{path}: line {lineno}: expected 3 fields")
-            preds.append(
-                Prediction(
-                    doc_id=int(fields[0]),
-                    best=fields[1],
-                    scores={},
-                    margin=float(fields[2]),
-                )
-            )
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise CorpusError(f"{path}: line {lineno}: expected 3 fields")
+        doc_id, best, margin = fields
+        if not _is_canonical_int(doc_id):
+            raise CorpusError(f"{path}: line {lineno}: bad doc id {doc_id!r}")
+        if not best:
+            raise CorpusError(f"{path}: line {lineno}: empty label")
+        if not _is_margin(margin):
+            raise CorpusError(f"{path}: line {lineno}: bad margin {margin!r}")
+        preds.append(Prediction(doc_id=int(doc_id), best=best, scores={}, margin=float(margin)))
     return preds
+
+
+def _is_margin(value: str) -> bool:
+    """Whether ``value`` is a margin as the writer writes it: a float's
+    ``repr``, not NaN and without a sign."""
+    try:
+        margin = float(value)
+    except ValueError:
+        return False
+    return repr(margin) == value and not math.isnan(margin) and math.copysign(1.0, margin) > 0
 
 
 def _adapt_config(args) -> AdaptConfig:

@@ -25,6 +25,16 @@ score (``HeliModelSet.known_items``), not by ``heli_build`` or the
 model-file reader, so training and loading do not pay for it; after
 that ``heli_add_document`` adds each fold's items to it, and
 ``HeliModelSet.with_pm`` shares it with clones that share counts.
+
+The values are read from a second lazy table, the scoring rows
+(``HeliModelSet.score_rows``): per kind and known length, one
+``(counts, total, penalty)`` row per language, in ``languages`` order.
+So a scored item costs one lookup per language and an absent item
+reads its penalty rather than taking a logarithm. A word's values are
+a list in that order, and a document's score is the ``math.fsum`` of
+one column per language. ``heli_add_document`` drops the rows and the
+next score rebuilds them, so every total and penalty is current; no
+clone shares them, since its pm or its lengths differ.
 """
 
 from __future__ import annotations
@@ -59,6 +69,10 @@ from .scorers import Prediction, to_prediction
 WORD_LENGTH_KEY = 0  # word sub-models store everything under pseudo-length 0
 
 _NOTHING_KNOWN: frozenset[str] = frozenset()
+
+# One language's scoring row at one kind and length:
+# (its counts there, their total, the penalty of an absent item).
+_Row = tuple[dict[str, int], int, float]
 
 
 @dataclass(frozen=True)
@@ -99,6 +113,9 @@ class HeliModelSet:
     _known: dict[str, dict[int, set[str]]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _rows: dict[str, dict[int, list[_Row]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def languages(self) -> list[str]:
@@ -115,6 +132,30 @@ class HeliModelSet:
         if self._known is None:
             self._known = {kind: _union(by_lang) for kind, by_lang in self.submodels.items()}
         return self._known
+
+    def score_rows(self) -> dict[str, dict[int, list[_Row]]]:
+        """Per kind and known length, each language's row in ``languages``
+        order: ``(counts, total, ngram._penalty(pm, total))``, with an
+        empty ``counts`` and total 0 for a language without that length.
+
+        Built on the first score and dropped by ``heli_add_document``, so
+        every total and penalty is current; a clone builds its own.
+        """
+        if self._rows is None:
+            pm = self.config.pm
+            languages = self.languages
+            known = self.known_items()
+            rows: dict[str, dict[int, list[_Row]]] = {}
+            for kind, by_lang in self.submodels.items():
+                models = [by_lang[lang] for lang in languages]
+                by_len = rows[kind] = {}
+                for n in known[kind]:
+                    row = by_len[n] = []
+                    for m in models:
+                        total = m.totals.get(n, 0)
+                        row.append((m.counts.get(n, {}), total, _penalty(pm, total)))
+            self._rows = rows
+        return self._rows
 
     def with_pm(
         self, pm: float, copy_counts: bool = False, rng: NgramRange | None = None
@@ -203,8 +244,9 @@ def heli_add_document(
     """Fold one document into a language's sub-models, in place, one kind
     and length at a time.
 
-    Totals are updated for the lengths the document touches, and the
-    known-items index, once built, gains the document's items.
+    Totals are updated for the lengths the document touches, the
+    known-items index, once built, gains the document's items, and the
+    scoring rows are dropped, to be rebuilt by the next score.
     ``norm`` is the document's normalized text, for callers that have it.
     """
     if language not in models.languages:
@@ -212,6 +254,7 @@ def heli_add_document(
     if norm is None:
         norm = normalize(doc.text)
     known = models._known
+    models._rows = None
     for kind, length, items in _doc_items(norm, models.config):
         models.submodels[kind][language].add_grams(Counter(items), length)
         if known is not None:
@@ -220,28 +263,20 @@ def heli_add_document(
 
 
 def _word_domain_values(
-    word: str, by_lang: dict[str, NgramModel], known: dict[int, set[str]], pm: float
-) -> dict[str, float] | None:
+    word: str, rows: dict[int, list[_Row]], known: dict[int, set[str]]
+) -> list[float] | None:
     """Score in a word domain, or None when no language knows the word."""
     if word not in known.get(WORD_LENGTH_KEY, _NOTHING_KNOWN):
         return None
-    values = {}
-    for lang, m in by_lang.items():
-        c = m.counts.get(WORD_LENGTH_KEY, {}).get(word)
-        if c is None:
-            values[lang] = _penalty(pm, m.totals.get(WORD_LENGTH_KEY, 0))
-        else:
-            values[lang] = -math.log(c / m.totals[WORD_LENGTH_KEY])
-    return values
+    return [
+        penalty if (c := counts.get(word)) is None else -math.log(c / total)
+        for counts, total, penalty in rows[WORD_LENGTH_KEY]
+    ]
 
 
 def _gram_domain_values(
-    word: str,
-    rng: NgramRange,
-    by_lang: dict[str, NgramModel],
-    known: dict[int, set[str]],
-    pm: float,
-) -> dict[str, float] | None:
+    word: str, rng: NgramRange, rows: dict[int, list[_Row]], known: dict[int, set[str]]
+) -> list[float] | None:
     """Score in a gram domain, trying lengths from the longest down.
 
     The word enters at length min(rng.max_n, len(word) + 2); the first
@@ -255,7 +290,7 @@ def _gram_domain_values(
         grams = [padded[i : i + n] for i in range(size - n + 1)]
         if known.get(n, _NOTHING_KNOWN).isdisjoint(grams):
             continue
-        sums = {lang: 0.0 for lang in by_lang}
+        sums = [0.0] * len(rows[n])
         used = 0
         for gram in grams:
             length = n
@@ -266,13 +301,10 @@ def _gram_domain_values(
                 gram = gram[:length]
             else:
                 used += 1
-                for lang, m in by_lang.items():
-                    c = m.counts.get(length, {}).get(gram)
-                    if c is None:
-                        sums[lang] += _penalty(pm, m.totals.get(length, 0))
-                    else:
-                        sums[lang] += -math.log(c / m.totals[length])
-        return {lang: s / used for lang, s in sums.items()}
+                for i, (counts, total, penalty) in enumerate(rows[length]):
+                    c = counts.get(gram)
+                    sums[i] += penalty if c is None else -math.log(c / total)
+        return [s / used for s in sums]
     return None
 
 
@@ -286,22 +318,37 @@ def _last_resort_values(models: HeliModelSet) -> dict[str, float]:
     }
 
 
+def _word_values(
+    word_original: str,
+    word_lowercased: str,
+    domains: tuple[tuple[str, NgramRange | None, bool], ...],
+    known: dict[str, dict[int, set[str]]],
+    rows: dict[str, dict[int, list[_Row]]],
+) -> list[float] | None:
+    """One word's values in ``languages`` order, from the first domain
+    that recognizes it; None when none does."""
+    for kind, rng, lower in domains:
+        word = word_lowercased if lower else word_original
+        if rng is None:
+            values = _word_domain_values(word, rows[kind], known[kind])
+        else:
+            values = _gram_domain_values(word, rng, rows[kind], known[kind])
+        if values is not None:
+            return values
+    return None
+
+
 def heli_score_word(
     word_original: str, word_lowercased: str, models: HeliModelSet
 ) -> dict[str, float]:
     """Score one word in the first domain that recognizes it."""
-    known = models.known_items()
-    pm = models.config.pm
-    for kind, rng, lower in models.config._domains:
-        word = word_lowercased if lower else word_original
-        by_lang = models.submodels[kind]
-        if rng is None:
-            values = _word_domain_values(word, by_lang, known[kind], pm)
-        else:
-            values = _gram_domain_values(word, rng, by_lang, known[kind], pm)
-        if values is not None:
-            return values
-    return _last_resort_values(models)
+    values = _word_values(
+        word_original, word_lowercased, models.config._domains, models.known_items(),
+        models.score_rows(),
+    )
+    if values is None:
+        return _last_resort_values(models)
+    return dict(zip(models.languages, values))
 
 
 def heli_score_doc(
@@ -318,13 +365,16 @@ def heli_score_doc(
     languages = models.languages
     if not norm.words:
         return {lang: 0.0 for lang in languages}
-    per_lang: dict[str, list[float]] = {lang: [] for lang in languages}
+    domains, known, rows = models.config._domains, models.known_items(), models.score_rows()
+    per_word = []
     for orig, lower in zip(norm.words, norm.lowercased):
-        values = heli_score_word(orig, lower, models)
-        for lang in languages:
-            per_lang[lang].append(values[lang])
+        values = _word_values(orig, lower, domains, known, rows)
+        if values is None:
+            by_lang = _last_resort_values(models)
+            values = [by_lang[lang] for lang in languages]
+        per_word.append(values)
     n = len(norm.words)
-    return {lang: math.fsum(vals) / n for lang, vals in per_lang.items()}
+    return {lang: math.fsum(column) / n for lang, column in zip(languages, zip(*per_word))}
 
 
 def heli_classify(doc: Document, models: HeliModelSet) -> Prediction:

@@ -658,3 +658,32 @@ def test_number_flags_refuse_digit_separators(tmp_path, corpus_file, capsys):
     assert main(["train", "--in", str(train), "--model", str(model), "--pm", "2.150"]) == 0
     assert main(identify + ["--ct", "1e0"]) == 0
     assert "\n#pm 2.15\n" in model.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("line, problem", [
+    pytest.param("0_0\tmal\t0.25", "bad doc id '0_0'", id="id-underscore"),
+    pytest.param("+1\tmal\t0.25", "bad doc id '+1'", id="id-sign"),
+    pytest.param("01\tmal\t0.25", "bad doc id '01'", id="id-leading-zero"),
+    pytest.param("1\t\t0.25", "empty label", id="empty-label"),
+    pytest.param("1\tmal\t1_0", "bad margin '1_0'", id="margin-underscore"),
+    pytest.param("1\tmal\tnan", "bad margin 'nan'", id="margin-nan"),
+    pytest.param("1\tmal\t-0.25", "bad margin '-0.25'", id="margin-negative"),
+    pytest.param("1\tmal\t-0.0", "bad margin '-0.0'", id="margin-negative-zero"),
+    pytest.param("1\tmal\t0.250", "bad margin '0.250'", id="margin-trailing-zero"),
+    pytest.param("1\tmal\t 0.25", "bad margin ' 0.25'", id="margin-space"),
+])
+def test_evaluate_reads_only_what_identify_writes(tmp_path, capsys, line, problem):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("ab cd\tkan\nef gh\tmal\n", encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    evaluate = ["evaluate", "--pred", str(pred), "--gold", str(gold)]
+    pred.write_text(f"0\tkan\t0.5\n{line}\n", encoding="utf-8")
+    assert main(evaluate) == 2
+    assert f"pred.tsv: line 2: {problem}" in capsys.readouterr().err
+    # as written, and with CRLF line ends or no final line feed, it reads
+    for text in ("0\tkan\t0.5\n1\tmal\t0.25\n", "0\tkan\t0.5\r\n1\tmal\t0.25\r\n",
+                 "0\tkan\t0.5\n1\tmal\t0.25"):
+        pred.write_bytes(text.encode("utf-8"))
+        assert main(evaluate) == 0
+        assert [(p.doc_id, p.best, p.margin) for p in cli.read_predictions(pred)] == [
+            (0, "kan", 0.5), (1, "mal", 0.25)]

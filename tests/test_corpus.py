@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ngramlid import CorpusError, load_tsv, normalize, ordered_split, save_tsv
+from ngramlid.corpus import Document
 
 
 def test_load_tsv_parses_labeled_lines(tmp_path):
@@ -27,6 +28,17 @@ def test_load_tsv_unlabeled(tmp_path):
     assert corpus.docs[1].text == "another\tline with tab"
     assert all(d.label is None for d in corpus)
     assert not corpus.labeled
+
+
+def test_document_fields_defaults_and_construction():
+    assert Document._fields == ("id", "text", "label")
+    assert Document(3, "ab") == Document(id=3, text="ab", label=None)
+    doc = Document(4, "cd", "tam")
+    assert (doc.id, doc.text, doc.label) == (4, "cd", "tam")
+    assert doc == Document(text="cd", label="tam", id=4)
+    assert hash(doc) == hash(Document(4, "cd", "tam"))
+    with pytest.raises(AttributeError):
+        doc.label = "mal"
 
 
 def test_load_tsv_malformed_line_names_line_number(tmp_path):

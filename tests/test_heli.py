@@ -478,6 +478,74 @@ def test_known_items_with_pm_shared_sliced_and_copied(mixed):
     assert [heli_score_doc(d, models) for d in probes] == parent_scores
 
 
+# -- the scoring rows -----------------------------------------------------
+
+
+def test_score_rows_built_on_first_score_only(tmp_path, mixed):
+    models = heli_build(mixed, MIXED)
+    path = tmp_path / "heli.tsv"
+    save_heli_models(models, path)
+    loaded = load_heli_models(path)
+    assert models._rows is None and loaded._rows is None
+
+    def clones():
+        return (models.with_pm(2.5), models.with_pm(2.5, rng=NgramRange(3, 4)),
+                models.with_pm(2.5, copy_counts=True))
+
+    assert all(clone._rows is None for clone in clones())
+    heli_score_doc(Document(0, "Σα zz"), models)
+    assert models._rows is not None
+    assert all(clone._rows is None for clone in clones())
+    heli_add_document(models, Document(9, "Qz"), "A")
+    assert models._rows is None
+
+
+def _hex_scores(docs, models):
+    return [{lang: v.hex() for lang, v in heli_score_doc(d, models).items()} for d in docs]
+
+
+@pytest.mark.parametrize(
+    "lw, ow, lnr, onr",
+    [flags for flags in itertools.product((False, True), repeat=4) if any(flags)],
+)
+def test_score_rows_stay_exact_through_folds(lw, ow, lnr, onr):
+    """Training words are one letter long (two once ``İ`` is lowercased)
+    and folded words up to six, with gram ranges reaching 5 or 6, so folds
+    give a language gram lengths it never had when the rows were first
+    built."""
+    rnd = random.Random(f"rows{lw}{ow}{lnr}{onr}")
+    alphabets = ["aAσΣςİißŞ", "ıIiİşŞaAß", "ΣσςaAßẞİı"]
+
+    def text(alphabet, longest):
+        return " ".join("".join(rnd.choice(alphabet) for _ in range(rnd.randint(1, longest)))
+                        for _ in range(rnd.randint(1, 4)))
+
+    train = Corpus(docs=tuple(
+        Document(i, text(alphabets[i % 3], 1), "ABC"[i % 3]) for i in range(18)
+    ))
+    probes = [Document(i, text(rnd.choice(alphabets), 6)) for i in range(12)]
+    probes.append(Document(12, "... 12 !!"))
+
+    def gram_range():
+        return NgramRange(rnd.randint(1, 3), rnd.randint(5, 6))
+
+    config = HeliConfig(lnr=gram_range() if lnr else None, onr=gram_range() if onr else None,
+                        lw=lw, ow=ow, pm=rnd.choice([1.1, 2.15, 3.0]))
+    models = heli_build(train, config)
+    lengths_before = {(kind, lang): set(m.counts) for kind, by_lang in models.submodels.items()
+                      for lang, m in by_lang.items()}
+    for fold in range(9):
+        if fold:
+            heli_add_document(models, Document(99, text(rnd.choice(alphabets), 6)),
+                              rnd.choice("ABC"))
+        # a copy of the counts with its own index and rows, built here
+        fresh = models.with_pm(config.pm, copy_counts=True)
+        assert _hex_scores(probes, models) == _hex_scores(probes, fresh)
+    grown = [key for key, lengths in lengths_before.items()
+             if set(models.submodels[key[0]][key[1]].counts) - lengths]
+    assert bool(grown) == (lnr or onr)
+
+
 def _reference_word_values(word, by_lang, pm):
     if not any(word in m.counts.get(WORD_LENGTH_KEY, {}) for m in by_lang.values()):
         return None

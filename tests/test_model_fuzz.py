@@ -1,12 +1,17 @@
-"""Seeded mutation fuzz of saved model files.
+"""Seeded mutation fuzz of the files the command line reads.
 
-Saved nb and heli model files are spoiled by one to three mutations:
-a flipped bit; an inserted tab, CR, ``#``, NUL, U+2028, ``\\x0b`` or run
+Saved nb and heli model files, a training TSV and a prediction file
+written by ``identify`` are spoiled by one to three mutations: a
+flipped bit; an inserted tab, CR, ``#``, NUL, U+2028, ``\\x0b`` or run
 of 30 digits; a deleted, duplicated or swapped line; a truncation; or
-CRLF line ends throughout. Half the positions fall in the header block,
-which is a small part of the file. ``identify`` on every mutant must exit 0
-or 2, never raise. A mutant that loads must save back as the same model:
-the only differences allowed are the ones listed in ``_assert_saves_back``.
+CRLF line ends throughout. For a model file, half the positions fall in
+the header block, which is a small part of the file. ``identify`` on
+every model mutant, ``train`` on every training mutant and ``evaluate``
+on every prediction mutant must exit 0 or 2, never raise. A model
+mutant that loads must save back as the same model, and a prediction
+mutant that reads must write back as the same bytes: the only
+differences allowed are the ones listed in ``_assert_saves_back`` and
+``_as_written``.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from collections import Counter
 import pytest
 
 from ngramlid import HeliConfig, NgramRange, build_models, heli_build
-from ngramlid.cli import _load_any_models, main
-from ngramlid.corpus import Corpus, Document
+from ngramlid.cli import _load_any_models, main, read_predictions, write_predictions
+from ngramlid.corpus import Corpus, CorpusError, Document, save_tsv
 from ngramlid.heli import save_heli_models
 from ngramlid.ngram import save_models
 
@@ -52,8 +57,9 @@ def _save(kind: str, path) -> None:
 
 
 def _spot(rnd: random.Random, size: int, head: int) -> int:
-    """An index below ``size``, below ``head`` (the header's share) half the time."""
-    return rnd.randrange(min(head, size) if rnd.random() < 0.5 else size)
+    """An index below ``size``, below ``head`` (the header's share) half the
+    time; any index below ``size`` when ``head`` is 0."""
+    return rnd.randrange(min(head, size) if rnd.random() < 0.5 and head else size)
 
 
 def _mutate(rnd: random.Random, data: bytes) -> bytes:
@@ -97,6 +103,15 @@ def _assert_saves_back(kind: str, mutant: bytes, saved: bytes) -> None:
     assert set(saved_lines - mutant_lines) <= DEFAULT_HEADERS[kind], mutant
 
 
+def _mutants(rnd: random.Random, data: bytes):
+    """``CASES`` mutants of ``data``, each by one to three mutations."""
+    for _ in range(CASES):
+        mutant = data
+        for _ in range(rnd.randint(1, 3)):
+            mutant = _mutate(rnd, mutant)
+        yield mutant
+
+
 @pytest.mark.parametrize("kind", ["nb", "heli"])
 def test_mutated_model_files_exit_0_or_2_and_save_back_the_same(tmp_path, capsys, kind):
     original = tmp_path / "original.tsv"
@@ -109,10 +124,7 @@ def test_mutated_model_files_exit_0_or_2_and_save_back_the_same(tmp_path, capsys
                 "--out", str(tmp_path / "pred.tsv")]
     rnd = random.Random(7)
     outcomes = Counter()
-    for _ in range(CASES):
-        mutant = data
-        for _ in range(rnd.randint(1, 3)):
-            mutant = _mutate(rnd, mutant)
+    for mutant in _mutants(rnd, data):
         model.write_bytes(mutant)
         code = main(identify)
         assert code in (0, 2), mutant
@@ -126,3 +138,62 @@ def test_mutated_model_files_exit_0_or_2_and_save_back_the_same(tmp_path, capsys
         _assert_saves_back(method, mutant, again.read_bytes())
         outcomes["loaded"] += 1
     assert outcomes["loaded"] >= CASES // 10 and outcomes["rejected"] >= CASES // 10, outcomes
+
+
+def test_mutated_training_files_exit_0_or_2(tmp_path, capsys):
+    original = tmp_path / "train.tsv"
+    save_tsv(_corpus(), original)
+    data = original.read_bytes()
+    train = tmp_path / "mutant.tsv"
+    rnd = random.Random(11)
+    codes = Counter()
+    for i, mutant in enumerate(_mutants(rnd, data)):
+        train.write_bytes(mutant)
+        method = ["--method", "heli", "--lnr", "1-3"] if i % 2 else ["--min-n", "1", "--max-n", "3"]
+        code = main(["train", "--in", str(train), "--model", str(tmp_path / "m.tsv"), *method])
+        assert code in (0, 2), mutant
+        assert "Traceback" not in capsys.readouterr().err
+        codes[code] += 1
+    assert codes[0] >= CASES // 10 and codes[2] >= CASES // 10, codes
+
+
+def _as_written(mutant: bytes) -> bytes:
+    """The bytes a prediction file reads back as, with the two allowed
+    differences: a CR that ends a line is dropped (CRLF line ends), and
+    a missing final line feed is added."""
+    lines = mutant.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    return b"".join((line[:-1] if line.endswith(b"\r") else line) + b"\n" for line in lines)
+
+
+def test_mutated_prediction_files_exit_0_or_2_and_write_back_the_same(tmp_path, capsys):
+    corpus = _corpus()
+    gold, text = tmp_path / "gold.tsv", tmp_path / "test.txt"
+    save_tsv(corpus, gold)
+    save_tsv(corpus, text, labeled=False)
+    model, pred = tmp_path / "model.tsv", tmp_path / "pred.tsv"
+    _save("nb", model)
+    assert main(["identify", "--model", str(model), "--in", str(text), "--out", str(pred)]) == 0
+    data = pred.read_bytes()
+    again = tmp_path / "again.tsv"
+    evaluate = ["evaluate", "--pred", str(pred), "--gold", str(gold)]
+    rnd = random.Random(13)
+    outcomes = Counter()
+    for mutant in _mutants(rnd, data):
+        pred.write_bytes(mutant)
+        code = main(evaluate)
+        assert code in (0, 2), mutant
+        assert "Traceback" not in capsys.readouterr().err
+        try:
+            preds = read_predictions(pred)
+        except (CorpusError, UnicodeDecodeError):
+            assert code == 2, mutant
+            outcomes["rejected"] += 1
+            continue
+        write_predictions(preds, again)
+        assert again.read_bytes() == _as_written(mutant), mutant
+        outcomes["read"] += 1
+        outcomes[f"evaluate exit {code}"] += 1
+    assert outcomes["read"] >= CASES // 10 and outcomes["rejected"] >= CASES // 10, outcomes
+    assert outcomes["evaluate exit 0"] >= CASES // 20, outcomes
