@@ -72,6 +72,18 @@ def _is_word_char(ch: str) -> bool:
     return unicodedata.category(ch) in ("Nl", "Mn", "Mc")
 
 
+class _WordTable(dict):
+    """A ``str.translate`` table, filled on first sight of each code point:
+    the code point itself for a word character, a space for any other."""
+
+    def __missing__(self, code: int) -> int | str:
+        value = self[code] = code if _is_word_char(chr(code)) else " "
+        return value
+
+
+_WORD_TABLE = _WordTable()
+
+
 def normalize(text: str, concatenate: bool = False) -> NormalizedText:
     """Split ``text`` into words, treating non-alphabetic characters as separators.
 
@@ -80,21 +92,16 @@ def normalize(text: str, concatenate: bool = False) -> NormalizedText:
     ``concatenate=True`` all runs are glued into a single word, for the
     stricter reading where separators vanish entirely instead of acting
     as word boundaries.
+
+    Every separator becomes a space (``_WORD_TABLE``) and the text is split
+    on whitespace; no word character is whitespace, so the words are the
+    same runs.
     """
-    words: list[str] = []
-    run: list[str] = []
-    for ch in text:
-        if _is_word_char(ch):
-            run.append(ch)
-        elif run:
-            words.append("".join(run))
-            run.clear()
-    if run:
-        words.append("".join(run))
+    words = text.translate(_WORD_TABLE).split()
     if concatenate and words:
         words = ["".join(words)]
     wt = tuple(words)
-    return NormalizedText(words=wt, lowercased=tuple(w.lower() for w in wt))
+    return NormalizedText(words=wt, lowercased=tuple(map(str.lower, wt)))
 
 
 def _read_lines(path: str | Path) -> list[str]:

@@ -18,6 +18,16 @@ scorer uses, with the pm of the model set's config.
 
 Document score is the mean of its word scores; lower is better.
 
+Training (``heli_build``, and ``heli_add_document`` in adaptation)
+reads each document's items from ``_doc_items``. A caseless document,
+one that lowercasing leaves unchanged, has the same items in both
+casings, so its lowercased domains reuse the original-cased ones' items:
+the word tuple, and, when ``lnr == onr``, the per-length gram lists,
+extracted once. Each kind still counts its own items (a fold builds one
+``Counter`` per shared list and adds it to both kinds), so every count
+is as if each domain were extracted on its own. A document with any
+cased word extracts every domain separately.
+
 Whether any language knows an item decides both the domain and the
 backoff, so a model set keeps an index of the known items: per kind and
 length, the union of every language's items. It is built on the first
@@ -213,15 +223,28 @@ def _doc_items(
     """``(kind, length, items)`` of one normalized document, per enabled
     domain and length, with multiplicity: a word domain's words under
     length 0, a gram domain's grams one length at a time. Empty item
-    lists are left out."""
+    lists are left out.
+
+    A caseless document (lowercasing changes none of its words) has the
+    same items in both casings, so its lowercased domains yield the very
+    objects of the original-cased ones: ``norm.words`` for wordL, and for
+    gramL, when ``lnr == onr``, gramO's per-length lists, extracted once.
+    A document with any cased word extracts each domain on its own.
+    """
+    caseless = norm.lowercased == norm.words
+    share_grams = caseless and config.onr is not None and config.lnr == config.onr
     for kind, rng, lower in config._domains:
-        words = norm.lowercased if lower else norm.words
+        words = norm.lowercased if lower and not caseless else norm.words
         if rng is None:
             if words:
                 yield kind, WORD_LENGTH_KEY, words
-        else:
-            for n, grams in _grams_by_length(words, rng):
-                yield kind, n, grams
+            continue
+        if not (lower and share_grams):
+            by_length = _grams_by_length(words, rng)
+            if share_grams:  # gramO, kept for gramL, which comes next
+                by_length = list(by_length)
+        for n, grams in by_length:
+            yield kind, n, grams
 
 
 def heli_build(train: Corpus, config: HeliConfig) -> HeliModelSet:
@@ -255,10 +278,14 @@ def heli_add_document(
         norm = normalize(doc.text)
     known = models._known
     models._rows = None
+    counted: dict[int, tuple[Sequence[str], Counter]] = {}  # per length, the last items counted
     for kind, length, items in _doc_items(norm, models.config):
-        models.submodels[kind][language].add_grams(Counter(items), length)
+        last = counted.get(length)
+        if last is None or last[0] is not items:  # a shared list is counted once
+            last = counted[length] = (items, Counter(items))
+        models.submodels[kind][language].add_grams(last[1], length)
         if known is not None:
-            known[kind].setdefault(length, set()).update(items)
+            known[kind].setdefault(length, set()).update(last[1])
     return models
 
 

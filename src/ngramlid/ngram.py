@@ -391,9 +391,11 @@ def _write_model_file(path: str | Path, header: list[str], submodels: dict) -> N
         counts = models[lang, kind].counts
         for n in sorted(counts):
             head = f"{prefix}{n}\t"
-            lines.extend([f"{head}{item}\t{counts[n][item]}" for item in sorted(counts[n])])
+            run = counts[n]
+            lines.extend([f"{head}{item}\t{run[item]}" for item in sorted(run)])
+    lines.append("")  # the final newline
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
 
 
 def save_models(model_set: ModelSet, path: str | Path) -> None:

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from ngramlid import CorpusError, load_tsv, normalize, ordered_split, save_tsv
-from ngramlid.corpus import Document
+from ngramlid import corpus as corpus_module
+from ngramlid.corpus import Document, NormalizedText, _is_word_char
 
 
 def test_load_tsv_parses_labeled_lines(tmp_path):
@@ -136,6 +137,48 @@ def test_normalize_words_are_alphabetic_runs():
         for word in normalize(text).words:
             assert word
             assert all(ch.isalpha() for ch in word)
+
+
+def _reference_normalize(text: str, concatenate: bool = False) -> NormalizedText:
+    """``normalize`` one character at a time: maximal runs of word
+    characters are the words."""
+    words: list[str] = []
+    run: list[str] = []
+    for ch in text:
+        if _is_word_char(ch):
+            run.append(ch)
+        elif run:
+            words.append("".join(run))
+            run.clear()
+    if run:
+        words.append("".join(run))
+    if concatenate and words:
+        words = ["".join(words)]
+    return NormalizedText(tuple(words), tuple(w.lower() for w in words))
+
+
+def test_normalize_matches_per_character_reference_on_every_code_point(monkeypatch):
+    # A fresh table, so the module's own is not left holding every code point.
+    monkeypatch.setattr(corpus_module, "_WORD_TABLE", corpus_module._WordTable())
+    for block in range(0, 0x110000, 256):
+        # each code point alone between ASCII letters, then doubled
+        text = "".join(f"a{c}b{c}{c}" for c in map(chr, range(block, block + 256))) + "a"
+        want = _reference_normalize(text)
+        assert normalize(text) == want, hex(block)
+        glued = ("".join(want.words),) if want.words else ()
+        assert normalize(text, concatenate=True) == NormalizedText(
+            glued, tuple(w.lower() for w in glued)
+        ), hex(block)
+    assert len(corpus_module._WORD_TABLE) == 0x110000
+
+
+def test_normalize_matches_per_character_reference_on_random_texts():
+    rnd = random.Random(13)
+    pool = "aZé ĕİıßΣς\u0301\u0bcd\u16ee\u2160 \t\n\x1c\x85\xa0\u2028\u3000.,!?19\U0001f600"
+    for _ in range(500):
+        text = "".join(rnd.choice(pool) for _ in range(rnd.randint(0, 24)))
+        for concatenate in (False, True):
+            assert normalize(text, concatenate) == _reference_normalize(text, concatenate), text
 
 
 def test_ordered_split_last_doc_goes_to_dev(make_corpus):

@@ -22,7 +22,7 @@ from ngramlid import (
     save_heli_models,
 )
 from ngramlid.corpus import Corpus, Document, normalize
-from ngramlid.heli import WORD_LENGTH_KEY, _last_resort_values
+from ngramlid.heli import WORD_LENGTH_KEY, _doc_items, _last_resort_values
 from ngramlid.ngram import _penalty
 
 
@@ -202,6 +202,27 @@ def test_add_document_matches_rebuild(make_corpus):
     heli_add_document(incremental, Document(2, "new Cd words"), "B")
     rebuilt = heli_build(make_corpus(pairs + [("new Cd words", "B")]), config)
     assert incremental.submodels == rebuilt.submodels
+
+
+@pytest.mark.parametrize(
+    "text, caseless",
+    [("ab ßς cd", True), ("Ab ßς cd", False), ("ab İx", False), ("ab ΣΑΣ", False)],
+)
+def test_caseless_document_shares_gram_lists_between_casings(text, caseless):
+    rng = NgramRange(2, 4)
+    norm = normalize(text)
+    assert (norm.words == norm.lowercased) is caseless
+    config = HeliConfig(lnr=rng, onr=rng, lw=True, ow=True, pm=2.0)
+    items = {(kind, n): grams for kind, n, grams in _doc_items(norm, config)}
+    assert (items["wordL", WORD_LENGTH_KEY] is items["wordO", WORD_LENGTH_KEY]) is caseless
+    for n in range(2, 5):
+        assert (items["gramL", n] is items["gramO", n]) is caseless
+        if caseless:
+            assert items["gramL", n] == items["gramO", n]
+    # Different ranges extract each casing on its own.
+    config = HeliConfig(lnr=rng, onr=NgramRange(2, 5), lw=False, ow=False, pm=2.0)
+    items = {(kind, n): grams for kind, n, grams in _doc_items(norm, config)}
+    assert all(items["gramL", n] is not items["gramO", n] for n in range(2, 5))
 
 
 def test_add_document_unknown_language(toy):

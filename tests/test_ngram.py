@@ -704,50 +704,92 @@ HELI_SUBSETS = [
 ]
 
 
+HELI_LOWER = "aäbcčdeéßgıжωσς"  # "ß" and final "ς" are caseless lowercase letters
+HELI_UPPER = "AÄČÉİЖΩΣ"  # "İ" lowercases to two characters, "Σ" to "σ" or "ς"
+
+
+def _random_cased_corpus(rnd):
+    """Three languages whose documents are caseless, sentence-case or cased
+    at random, over one lowercase vocabulary per language, so the same
+    words and grams come from documents of every kind."""
+    docs = []
+    for label in ("ab", "čd", "ñé"):
+        vocab = [
+            "".join(rnd.choice(HELI_LOWER) for _ in range(rnd.randint(1, 8)))
+            for _ in range(rnd.randint(1, 5))
+        ]
+        for _ in range(rnd.randint(2, 6)):
+            words = [rnd.choice(vocab) for _ in range(rnd.randint(1, 6))]
+            style = rnd.choice(["caseless", "sentence", "cased"])
+            if style == "sentence":
+                words[0] = rnd.choice(HELI_UPPER) + words[0]
+            elif style == "cased":
+                words = [
+                    "".join(rnd.choice(HELI_UPPER) if rnd.random() < 0.3 else ch for ch in w)
+                    for w in words
+                ]
+            docs.append((rnd.choice([" ", ", ", "1"]).join(words), label))
+    rnd.shuffle(docs)
+    return docs
+
+
+def _check_heli_build_and_folds(tmp_path, corpus, config):
+    """``heli_build`` and ``heli_add_document`` into empty sub-models both
+    equal per-document folds of the reference extraction, each kind
+    counting its own items."""
+    kinds = config.enabled_kinds()
+    want = {kind: {lang: NgramModel(lang) for lang in corpus.label_set} for kind in kinds}
+    for doc in corpus:
+        norm = normalize(doc.text)
+        for kind, rng, lower in config._domains:
+            words = norm.lowercased if lower else norm.words
+            items = Counter(words) if rng is None else _reference_extract(words, rng)
+            if items:
+                want[kind][doc.label].add_grams(items, 0 if rng is None else None)
+    # the adaptation fold: heli_add_document into empty sub-models
+    folded = HeliModelSet(
+        config, {kind: {lang: NgramModel(lang) for lang in corpus.label_set} for kind in kinds}
+    )
+    for doc in corpus:
+        heli_add_document(folded, doc, doc.label)
+    for kind in kinds:
+        _assert_models_equal(folded.submodels[kind], want[kind])
+    empty = sorted(
+        lang for lang in corpus.label_set
+        if not any(want[kind][lang].counts for kind in kinds)
+    )
+    if empty:
+        with pytest.raises(ValueError, match=f"language {empty[0]!r}: nothing counted"):
+            heli_build(corpus, config)
+        return
+    built = heli_build(corpus, config)
+    assert set(built.submodels) == set(kinds)
+    for kind in kinds:
+        _assert_models_equal(built.submodels[kind], want[kind])
+    save_heli_models(built, tmp_path / "heli.tsv")
+    assert load_heli_models(tmp_path / "heli.tsv") == built
+
+
 @pytest.mark.parametrize("domains", HELI_SUBSETS, ids="+".join)
 def test_heli_build_equals_per_document_folds(tmp_path, make_corpus, domains):
+    # Each corpus runs with independent ranges and with onr = lnr, where a
+    # caseless document's gramL shares gramO's extracted lists.
     rnd = random.Random("heli-" + "+".join(domains))
     for _ in range(6):
-        corpus = make_corpus(_random_build_corpus(rnd))
+        corpora = [_random_build_corpus(rnd), _random_cased_corpus(rnd)]
         lnr, onr = (NgramRange(rnd.randint(1, 4), rnd.randint(4, 8)) for _ in range(2))
-        config = HeliConfig(
-            lnr=lnr if "lnr" in domains else None,
-            onr=onr if "onr" in domains else None,
-            lw="lw" in domains,
-            ow="ow" in domains,
-            pm=rnd.choice([1.0, 2.15]),
-        )
-        kinds = config.enabled_kinds()
-        want = {kind: {lang: NgramModel(lang) for lang in corpus.label_set} for kind in kinds}
-        for doc in corpus:
-            norm = normalize(doc.text)
-            for kind, rng, lower in config._domains:
-                words = norm.lowercased if lower else norm.words
-                items = Counter(words) if rng is None else _reference_extract(words, rng)
-                if items:
-                    want[kind][doc.label].add_grams(items, 0 if rng is None else None)
-        # the adaptation fold: heli_add_document into empty sub-models
-        folded = HeliModelSet(
-            config, {kind: {lang: NgramModel(lang) for lang in corpus.label_set} for kind in kinds}
-        )
-        for doc in corpus:
-            heli_add_document(folded, doc, doc.label)
-        for kind in kinds:
-            _assert_models_equal(folded.submodels[kind], want[kind])
-        empty = sorted(
-            lang for lang in corpus.label_set
-            if not any(want[kind][lang].counts for kind in kinds)
-        )
-        if empty:
-            with pytest.raises(ValueError, match=f"language {empty[0]!r}: nothing counted"):
-                heli_build(corpus, config)
-            continue
-        built = heli_build(corpus, config)
-        assert set(built.submodels) == set(kinds)
-        for kind in kinds:
-            _assert_models_equal(built.submodels[kind], want[kind])
-        save_heli_models(built, tmp_path / "heli.tsv")
-        assert load_heli_models(tmp_path / "heli.tsv") == built
+        pm = rnd.choice([1.0, 2.15])
+        for docs in corpora:
+            corpus = make_corpus(docs)
+            for gram_onr in (onr, lnr):
+                config = HeliConfig(
+                    lnr=lnr if "lnr" in domains else None,
+                    onr=gram_onr if "onr" in domains else None,
+                    lw="lw" in domains,
+                    ow="ow" in domains,
+                    pm=pm,
+                )
+                _check_heli_build_and_folds(tmp_path, corpus, config)
 
 
 @pytest.mark.parametrize("domains", HELI_SUBSETS, ids="+".join)
