@@ -55,9 +55,12 @@ class Corpus:
         return dict(Counter(d.label for d in self.docs if d.label is not None))
 
 
-@dataclass(frozen=True)
-class NormalizedText:
-    """Word sequences extracted from a raw line, in both casings."""
+class NormalizedText(NamedTuple):
+    """Word sequences extracted from a raw line, in both casings.
+
+    A named tuple, like ``Document``: every document read is normalized
+    once, and a named tuple builds faster than a frozen dataclass.
+    """
 
     words: tuple[str, ...]
     lowercased: tuple[str, ...]
@@ -74,14 +77,26 @@ def _is_word_char(ch: str) -> bool:
 
 class _WordTable(dict):
     """A ``str.translate`` table, filled on first sight of each code point:
-    the code point itself for a word character, a space for any other."""
+    the code point itself for a word character, a space for any other.
+
+    It stores at most ``limit`` code points (no limit when None); past
+    that, a code point it does not hold is looked up afresh each time.
+    """
+
+    def __init__(self, limit: int | None = None) -> None:
+        super().__init__()
+        self.limit = limit
 
     def __missing__(self, code: int) -> int | str:
-        value = self[code] = code if _is_word_char(chr(code)) else " "
+        value = code if _is_word_char(chr(code)) else " "
+        if self.limit is None or len(self) < self.limit:
+            self[code] = value
         return value
 
 
-_WORD_TABLE = _WordTable()
+# Bounded, so that text holding many distinct code points cannot grow it
+# without end: every code point would take 1,114,112 entries (74 MB).
+_WORD_TABLE = _WordTable(limit=2**16)
 
 
 def normalize(text: str, concatenate: bool = False) -> NormalizedText:
@@ -101,7 +116,7 @@ def normalize(text: str, concatenate: bool = False) -> NormalizedText:
     if concatenate and words:
         words = ["".join(words)]
     wt = tuple(words)
-    return NormalizedText(words=wt, lowercased=tuple(map(str.lower, wt)))
+    return NormalizedText(wt, tuple(map(str.lower, wt)))
 
 
 def _read_lines(path: str | Path) -> list[str]:

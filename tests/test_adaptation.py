@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import string
 from collections import Counter
 
 import pytest
@@ -14,11 +15,14 @@ from ngramlid import (
     NgramRange,
     adaptation,
     adaptive_identify,
+    add_document,
     build_models,
     classify,
+    evaluation,
     heli_build,
 )
-from ngramlid.corpus import Corpus, Document
+from ngramlid.corpus import Corpus, Document, ordered_split
+from ngramlid.synth import LanguageSpec, SynthSpec, generate
 
 
 @pytest.fixture
@@ -313,3 +317,175 @@ def test_method_model_mismatch_rejected(setup):
         adaptive_identify(test, heli_models, "nb", AdaptConfig())
     with pytest.raises(ValueError, match="unknown method"):
         adaptive_identify(test, models, "svm", AdaptConfig())
+
+
+# -- bound-guided selection ----------------------------------------------------
+
+
+def _unbounded(monkeypatch):
+    """Make every stale document's margin bound infinite, so that every
+    round re-scores every stale unresolved document (the partial rule
+    alone, with no bound)."""
+    monkeypatch.setattr(adaptation._ScorerBackend, "margin_bound", lambda *args: math.inf)
+
+
+def _fingerprint(preds, trace) -> list:
+    """Labels, margins and every score by ``float.hex``, and the trace bytes."""
+    rows = [
+        (p.doc_id, p.best, p.margin.hex(), sorted((lang, s.hex()) for lang, s in p.scores.items()))
+        for p in preds
+    ]
+    return rows + [trace.read_bytes()]
+
+
+def _random_adaptation_task(rnd):
+    """A random nb task over overlapping alphabets. Sometimes one language
+    is trained on one-letter words only, so it has no mass at the longer
+    lengths of the range until adaptation folds some in."""
+    n_langs = rnd.randint(2, 5)
+    langs = [f"l{i}" for i in range(n_langs)]
+    alphabets = {lang: rnd.sample("abcdefghij", rnd.randint(4, 7)) for lang in langs}
+    short = rnd.choice(langs) if rnd.random() < 0.5 else None
+
+    def line(lang, longest=5):
+        return " ".join(
+            "".join(rnd.choice(alphabets[lang]) for _ in range(rnd.randint(1, longest)))
+            for _ in range(rnd.randint(1, 5))
+        )
+
+    pairs = [
+        (line(lang, 1 if lang == short else 5), lang)
+        for lang in langs
+        for _ in range(rnd.randint(1, 4))
+    ]
+    train = Corpus(docs=tuple(Document(i, t, lab) for i, (t, lab) in enumerate(pairs)))
+    texts = [line(rnd.choice(langs)) for _ in range(rnd.randint(8, 30))]
+    test = Corpus(docs=tuple(Document(i, t) for i, t in enumerate(texts)))
+    lo = rnd.randint(1, 3)
+    return train, test, NgramRange(lo, rnd.randint(max(lo, 3), 5))
+
+
+def test_bounded_selection_equals_unbounded_rescoring(monkeypatch, tmp_path):
+    rnd = random.Random(2021)
+    trace = tmp_path / "trace.tsv"
+    for k in (1, 3, 20, FULL):
+        for ct in (None, 0.0, 0.4):
+            for epochs in (0, 1, 2):
+                for pm in (1.0, 2.15, 0.6):
+                    train, test, rng = _random_adaptation_task(rnd)
+                    base = build_models(train, rng, pm)
+                    config = AdaptConfig(k=k, ct=ct, epochs=epochs)
+                    runs = []
+                    for bounded in (True, False):
+                        with monkeypatch.context() as patch:
+                            if not bounded:
+                                _unbounded(patch)
+                            preds = adaptive_identify(
+                                test, base.with_pm(pm, copy_counts=True), "nb", config,
+                                trace_path=trace,
+                            )
+                        runs.append(_fingerprint(preds, trace))
+                    assert runs[0] == runs[1], (k, ct, epochs, pm)
+
+
+def test_bounded_selection_equals_unbounded_rescoring_in_a_sweep(monkeypatch):
+    # the sweep hands adaptive_identify each dev document's grams, sliced
+    # per range from one extraction
+    rnd = random.Random(7)
+    train, dev, _ = _random_adaptation_task(rnd)
+    dev = Corpus(docs=tuple(Document(d.id, d.text, "l0") for d in dev))
+    real = evaluation.adaptive_identify
+    for config in (AdaptConfig(k=3), AdaptConfig(k=FULL, ct=0.2, epochs=2)):
+        runs = []
+        for bounded in (True, False):
+            seen = []
+
+            def recording(test, models, method, adapt, **kwargs):
+                preds = real(test, models, method, adapt, **kwargs)
+                seen.append([(p.best, p.margin.hex(), sorted(p.scores.items())) for p in preds])
+                return preds
+
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluation, "adaptive_identify", recording)
+                if not bounded:
+                    _unbounded(patch)
+                evaluation.sweep(
+                    train, dev, "nb", [NgramRange(1, 3), NgramRange(2, 4)], [0.7, 2.15], config
+                )
+            runs.append(seen)
+        assert len(runs[0]) == 4 and runs[0] == runs[1]
+
+
+def _sixteen_language_task():
+    languages = tuple(
+        LanguageSpec(code=f"l{i:02d}", inventory=string.ascii_lowercase[i : i + 10])
+        for i in range(16)
+    )
+    spec = SynthSpec(
+        languages=languages, lines_per_language=20, words_per_line=6, mixing_rate=0.3,
+        shared=LanguageSpec(code="en", inventory="etaoins", word_lengths=(2, 3, 4)), seed=5,
+    )
+    train, dev = ordered_split(generate(spec), 0.9)
+    return build_models(train, NgramRange(2, 6), 2.15), Corpus(
+        docs=tuple(Document(d.id, d.text) for d in dev)
+    )
+
+
+def test_bounds_skip_rescoring_on_sixteen_languages(monkeypatch):
+    # A bound that silently became infinite would keep every output and
+    # lose the gain; count (document, language) scorings to catch that.
+    base, test = _sixteen_language_task()
+    config = AdaptConfig(k=20)
+    results = []
+    for bounded in (True, False):
+        calls = Counter()
+        real_all, real_one = adaptation.score_with, adaptation.score_language
+
+        def counting_all(*args, **kwargs):
+            calls["pairs"] += len(base.models)
+            return real_all(*args, **kwargs)
+
+        def counting_one(*args, **kwargs):
+            calls["pairs"] += 1
+            return real_one(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(adaptation, "score_with", counting_all)
+            patch.setattr(adaptation, "score_language", counting_one)
+            if not bounded:
+                _unbounded(patch)
+            preds = adaptive_identify(test, base.with_pm(2.15, copy_counts=True), "nb", config)
+        results.append((preds, calls["pairs"]))
+    (lazy, lazy_pairs), (full, full_pairs) = results
+    assert lazy == full
+    assert len(test) * 16 <= lazy_pairs < full_pairs
+
+
+def test_equal_margins_at_the_split_boundary_rank_by_id(monkeypatch, tmp_path):
+    # A and B mirror each other under a <-> b, and C is symmetric under it,
+    # so documents 1 and 2 (mirror images) have equal margins once
+    # document 0 is folded into C; one split of one document separates them.
+    train = Corpus(docs=tuple(Document(i, t, lab) for i, (t, lab) in enumerate(
+        [("ab abb aab", "A"), ("ba baa bba", "B"), ("ab ba cc ccc ab ba", "C")]
+    )))
+    test = Corpus(docs=tuple(Document(i, t) for i, t in enumerate(
+        ["ccc cc", "ba bba", "ab aab", "cab"]
+    )))
+    folded = add_document(_models(train, rng=NgramRange(1, 3)), test.docs[0], "C")
+    tied = [classify(doc, folded, "nb").margin.hex() for doc in test.docs[1:3]]
+    assert tied[0] == tied[1]
+    traces = []
+    for bounded in (True, False):
+        trace = tmp_path / f"trace{bounded}.tsv"
+        with monkeypatch.context() as patch:
+            if not bounded:
+                _unbounded(patch)
+            adaptive_identify(
+                test, _models(train, rng=NgramRange(1, 3)), "nb", AdaptConfig(k=FULL),
+                trace_path=trace,
+            )
+        traces.append(trace.read_text())
+    assert traces[0] == traces[1]
+    rows = [line.split("\t") for line in traces[0].splitlines()]
+    assert [(r[0], r[1]) for r in rows[:3]] == [("1", "0"), ("2", "1"), ("3", "2")]
+    assert float(rows[1][3]).hex() == tied[0]

@@ -42,6 +42,15 @@ def test_document_fields_defaults_and_construction():
         doc.label = "mal"
 
 
+def test_normalized_text_is_a_named_tuple():
+    norm = normalize("Ab cD")
+    assert NormalizedText._fields == ("words", "lowercased")
+    assert norm == NormalizedText(("Ab", "cD"), ("ab", "cd")) == (("Ab", "cD"), ("ab", "cd"))
+    assert norm == NormalizedText(lowercased=("ab", "cd"), words=("Ab", "cD"))
+    with pytest.raises(AttributeError):
+        norm.words = ()
+
+
 def test_load_tsv_malformed_line_names_line_number(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("good\ttam\nno label here\n", encoding="utf-8")
@@ -170,6 +179,22 @@ def test_normalize_matches_per_character_reference_on_every_code_point(monkeypat
             glued, tuple(w.lower() for w in glued)
         ), hex(block)
     assert len(corpus_module._WORD_TABLE) == 0x110000
+
+
+def test_word_table_stays_bounded_on_every_code_point():
+    # the module's own table, restored afterwards: one text holding every
+    # code point must not leave an entry per code point behind
+    table = corpus_module._WORD_TABLE
+    saved = dict(table)
+    try:
+        normalize("".join(map(chr, range(0x110000))))
+        assert len(table) <= 2**16
+        # code points it no longer stores still split and join as before
+        text = "x\u4e00y\u3000z\U0001f600\u0bcd"
+        assert normalize(text) == _reference_normalize(text)
+    finally:
+        table.clear()
+        table.update(saved)
 
 
 def test_normalize_matches_per_character_reference_on_random_texts():
