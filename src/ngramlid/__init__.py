@@ -43,13 +43,7 @@ from .ngram import (
     load_models,
     save_models,
 )
-from .scorers import (
-    Prediction,
-    classify,
-    score_nb,
-    score_simple,
-    score_sum_rf,
-)
+from .scorers import Prediction, classify
 from .synth import LanguageSpec, Lcg, SynthSpec, generate
 
 __version__ = "0.1.0"
@@ -95,9 +89,6 @@ __all__ = [
     "save_heli_models",
     "save_models",
     "save_tsv",
-    "score_nb",
-    "score_simple",
-    "score_sum_rf",
     "sweep",
     "__version__",
 ]

@@ -219,8 +219,10 @@ class _ScorerBackend:
     once (or handed over already grouped), and supports re-scoring a
     single language after its model changed. nb (with two languages or
     more) bounds the margins of the stale documents among ``docs``, the
-    test documents, or None when nothing will be folded; the other
-    methods bound nothing, so every stale document is re-scored."""
+    test documents; the other methods bound nothing, so every stale
+    document is re-scored. ``docs`` is None when nothing will be folded:
+    each document is then scored once, and only handed-over grams are
+    kept."""
 
     def __init__(
         self,
@@ -233,6 +235,7 @@ class _ScorerBackend:
         self.method = method
         self.lower = lower_is_better(method)
         self._grams = dict(grams or {})
+        self.keep = docs is not None
         bounded = docs is not None and method == "nb" and len(model_set.models) > 1
         self.bounds = _NbBounds(self, docs) if bounded else None
 
@@ -243,8 +246,9 @@ class _ScorerBackend:
     def grams(self, doc: Document) -> GramGroups:
         g = self._grams.get(doc.id)
         if g is None:
-            g = GramGroups(self.model_set.doc_grams(doc))
-            self._grams[doc.id] = g
+            g = self.model_set.doc_grams(doc)
+            if self.keep:
+                self._grams[doc.id] = g
         return g
 
     def score_all(self, doc: Document) -> dict[str, float]:
@@ -276,16 +280,18 @@ class _ScorerBackend:
 
 
 class _HeliBackend:
-    """Backoff-model backend: caches each document's normalized text.
-    Adding data to one language can move the domain a word is scored in,
-    which shifts every language's score, so ``absorb`` reports every
-    language (or none, for a wordless document), a document is always
-    re-scored in full, and no margin is bounded."""
+    """Backoff-model backend: caches each document's normalized text,
+    unless ``keep`` is off (nothing will be folded, so each document is
+    scored once). Adding data to one language can move the domain a word
+    is scored in, which shifts every language's score, so ``absorb``
+    reports every language (or none, for a wordless document), a
+    document is always re-scored in full, and no margin is bounded."""
 
     lower = True
 
-    def __init__(self, models: HeliModelSet):
+    def __init__(self, models: HeliModelSet, keep: bool):
         self.models = models
+        self.keep = keep
         self._norms: dict[int, NormalizedText] = {}
 
     @property
@@ -295,7 +301,9 @@ class _HeliBackend:
     def norm(self, doc: Document) -> NormalizedText:
         norm = self._norms.get(doc.id)
         if norm is None:
-            norm = self._norms[doc.id] = normalize(doc.text)
+            norm = normalize(doc.text)
+            if self.keep:
+                self._norms[doc.id] = norm
         return norm
 
     def score_all(self, doc: Document) -> dict[str, float]:
@@ -316,7 +324,7 @@ def _make_backend(model_set, method: str, grams: dict[int, GramGroups] | None, d
     if method == "heli":
         if not isinstance(model_set, HeliModelSet):
             raise ValueError("method 'heli' needs a HeliModelSet")
-        return _HeliBackend(model_set)
+        return _HeliBackend(model_set, keep=docs is not None)
     if method not in ("simple", "sum_rf", "nb"):
         raise ValueError(f"unknown method {method!r}; expected one of {ADAPT_METHODS}")
     if not isinstance(model_set, ModelSet):
@@ -336,7 +344,8 @@ def adaptive_identify(
 
     Returns one prediction per document, ordered by document id, each
     being the prediction in force when its document was resolved.
-    ``epochs=0`` disables adaptation entirely. The models inside
+    ``epochs=0`` disables adaptation entirely: each document is scored
+    once and nothing of it is kept but its prediction. The models inside
     ``model_set`` are mutated; pass a copy to keep the originals.
 
     Each round takes its split from a heap keyed by (-margin bound, id).
@@ -409,7 +418,7 @@ def adaptive_identify(
     iteration = 0
     if config.epochs == 0:
         for doc in docs:
-            pred = predict(doc)
+            pred = to_prediction(doc.id, backend.score_all(doc), lower=backend.lower)
             resolved[doc.id] = pred
             trace.append((0, doc.id, pred.best, pred.margin, 0))
     else:

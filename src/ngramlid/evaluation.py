@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .adaptation import ADAPT_METHODS, AdaptConfig, adaptive_identify
 from .corpus import Corpus
 from .heli import HeliConfig, heli_build
-from .ngram import GramGroups, NgramRange, _check_pm, _penalty, build_models
+from .ngram import NgramRange, _check_pm, _penalty, build_models
 from .scorers import Prediction, _nb_length_terms, to_prediction
 
 
@@ -222,7 +222,7 @@ def _sweep_ranges(args) -> list[SweepRow]:
         dev_grams = None
     else:
         base = build_models(train, union, pms[0])
-        dev_grams = {doc.id: GramGroups(base.doc_grams(doc)) for doc in dev}
+        dev_grams = {doc.id: base.doc_grams(doc) for doc in dev}
         if method == "nb" and adapt.epochs == 0:
             terms = {
                 i: {

@@ -58,6 +58,7 @@ from typing import Iterator, Sequence
 
 from .corpus import Corpus, Document, NormalizedText, normalize
 from .ngram import (
+    GramGroups,
     ModelIOError,
     NgramModel,
     NgramRange,
@@ -283,7 +284,7 @@ def heli_add_document(
         last = counted.get(length)
         if last is None or last[0] is not items:  # a shared list is counted once
             last = counted[length] = (items, Counter(items))
-        models.submodels[kind][language].add_grams(last[1], length)
+        models.submodels[kind][language].add_grams(GramGroups([(length, last[1].items())]))
         if known is not None:
             known[kind].setdefault(length, set()).update(last[1])
     return models
@@ -335,14 +336,15 @@ def _gram_domain_values(
     return None
 
 
-def _last_resort_values(models: HeliModelSet) -> dict[str, float]:
-    """Every language pays the penalty of the last domain in precedence."""
+def _last_resort_values(models: HeliModelSet) -> list[float]:
+    """Every language pays the penalty of the last domain in precedence,
+    at its word length or shortest gram length, read from the scoring
+    rows; 0.0 (``_penalty`` of no mass) when no language knows that length."""
     kind, rng, _ = models.config._domains[-1]
-    length = WORD_LENGTH_KEY if rng is None else rng.min_n
-    pm = models.config.pm
-    return {
-        lang: _penalty(pm, m.totals.get(length, 0)) for lang, m in models.submodels[kind].items()
-    }
+    row = models.score_rows()[kind].get(WORD_LENGTH_KEY if rng is None else rng.min_n)
+    if row is None:
+        return [0.0] * len(models.languages)
+    return [penalty for _, _, penalty in row]
 
 
 def _word_values(
@@ -368,13 +370,14 @@ def _word_values(
 def heli_score_word(
     word_original: str, word_lowercased: str, models: HeliModelSet
 ) -> dict[str, float]:
-    """Score one word in the first domain that recognizes it."""
+    """Score one word in the first domain that recognizes it: the values
+    ``heli_score_doc`` averages, per language."""
     values = _word_values(
         word_original, word_lowercased, models.config._domains, models.known_items(),
         models.score_rows(),
     )
     if values is None:
-        return _last_resort_values(models)
+        values = _last_resort_values(models)
     return dict(zip(models.languages, values))
 
 
@@ -397,8 +400,7 @@ def heli_score_doc(
     for orig, lower in zip(norm.words, norm.lowercased):
         values = _word_values(orig, lower, domains, known, rows)
         if values is None:
-            by_lang = _last_resort_values(models)
-            values = [by_lang[lang] for lang in languages]
+            values = _last_resort_values(models)
         per_word.append(values)
     n = len(norm.words)
     return {lang: math.fsum(column) / n for lang, column in zip(languages, zip(*per_word))}

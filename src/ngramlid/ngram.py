@@ -8,8 +8,10 @@ the relative frequency of a gram of length L is count / totals[L].
 Extraction runs one gram length at a time over all of a text's padded
 words (``_grams_by_length``). A training build feeds each document's
 per-length gram lists straight into one ``Counter`` per language and
-length, and turns each into the model's dict once at the end;
-adaptation folds a document at a time with ``NgramModel.add_grams``.
+length, and turns each into the model's dict once at the end.
+Classification and adaptation take a document's grams as a
+``GramGroups`` (``ModelSet.doc_grams``: one ``Counter`` per length),
+which adaptation folds with ``NgramModel.add_grams``.
 
 The smoothing value for a gram absent from a model ("penalty") is the
 negative natural log of a gram that would appear exactly once,
@@ -158,49 +160,33 @@ def extract_ngrams(
 
 class GramGroups:
     """A gram multiset grouped by gram length, as ``(length, pairs)`` in
-    ``groups``, where ``pairs`` iterates ``(gram, count)``.
+    ``groups``, ascending by length, where ``pairs`` iterates ``(gram,
+    count)`` and has a ``len()``.
 
-    ``len()`` is the number of distinct grams, as for the Counter it was
-    made from. Scoring and folding walk the groups directly, so a document
-    that is scored many times (adaptation) is grouped only once. Each
-    length keeps a plain dict, not a list of tuples: a cache of per-gram
-    tuples is one garbage-collected object per gram, which made an nb
-    sweep run eight times as many full collections.
+    ``len()`` is the number of distinct grams. Scoring and folding walk
+    the groups directly, so a document that is scored many times
+    (adaptation) is grouped only once. Each length keeps a plain dict
+    (``ModelSet.doc_grams`` keeps a ``Counter``'s items), not a list of
+    tuples: a cache of per-gram tuples is one garbage-collected object
+    per gram, which made an nb sweep run eight times as many full
+    collections.
     """
 
-    __slots__ = ("groups", "size")
+    __slots__ = ("groups",)
 
-    def __init__(self, grams: Counter) -> None:
-        by_len: dict[int, dict[str, int]] = {}
-        for gram, c in grams.items():
-            n = len(gram)
-            group = by_len.get(n)
-            if group is None:
-                group = by_len[n] = {}
-            group[gram] = c
-        self.groups = [(n, group.items()) for n, group in by_len.items()]
-        self.size = len(grams)
+    def __init__(self, groups: list[tuple[int, Iterable[tuple[str, int]]]]) -> None:
+        self.groups = groups
 
     def __len__(self) -> int:
-        return self.size
+        return sum(len(pairs) for _, pairs in self.groups)
 
     def sliced(self, rng: NgramRange) -> "GramGroups":
         """The groups of the lengths in ``rng``, sharing this one's pairs.
 
         Every length is extracted on its own, so the slice equals the
-        grouped grams of an extraction over ``rng`` alone; its ``len()``
-        is its own number of distinct grams.
+        grouped grams of an extraction over ``rng`` alone.
         """
-        part = object.__new__(GramGroups)
-        part.groups = [(n, pairs) for n, pairs in self.groups if rng.holds(n)]
-        part.size = sum(len(pairs) for _, pairs in part.groups)
-        return part
-
-
-def group_by_length(grams: "Counter | GramGroups") -> list:
-    """The ``(length, pairs)`` groups of a gram multiset: a GramGroups'
-    own, or those of a Counter grouped on the spot."""
-    return grams.groups if isinstance(grams, GramGroups) else GramGroups(grams).groups
+        return GramGroups([(n, pairs) for n, pairs in self.groups if rng.holds(n)])
 
 
 @dataclass
@@ -215,18 +201,15 @@ class NgramModel:
     counts: dict[int, dict[str, int]] = field(default_factory=dict)
     totals: dict[int, int] = field(default_factory=dict)
 
-    def add_grams(
-        self, grams: "Counter | GramGroups", length: int | None = None
-    ) -> None:
-        """Fold a gram multiset into the model, one document at a time.
+    def add_grams(self, grams: GramGroups) -> None:
+        """Fold a grouped multiset into the model, one document at a time.
 
-        Items are keyed by their own length, or all by ``length`` when it
-        is given (word sub-models use pseudo-length 0). Only the totals
-        of the lengths the items touch change, so a fold costs the size of
-        ``grams`` rather than the size of the model.
+        Each group's items are keyed by its length (word sub-models use
+        pseudo-length 0). Only the totals of the lengths the groups touch
+        change, so a fold costs the size of ``grams`` rather than the size
+        of the model.
         """
-        groups = [(length, grams.items())] if length is not None else group_by_length(grams)
-        for n, pairs in groups:
+        for n, pairs in grams.groups:
             self.totals[n] = self.totals.get(n, 0) + _fold(self.counts.setdefault(n, {}), pairs)
 
     def refresh(self) -> None:
@@ -244,12 +227,6 @@ class NgramModel:
         kept = [n for n in self.counts if rng is None or rng.holds(n)]
         counts = {n: dict(self.counts[n]) if copy_counts else self.counts[n] for n in kept}
         return NgramModel(self.language, counts, {n: self.totals[n] for n in kept})
-
-    def rel_freq(self, gram: str) -> float:
-        by_len = self.counts.get(len(gram))
-        if not by_len or gram not in by_len:
-            return 0.0
-        return by_len[gram] / self.totals[len(gram)]
 
 
 @dataclass
@@ -273,10 +250,13 @@ class ModelSet:
         """The models as a one-kind map, the shape ``HeliModelSet`` has."""
         return {GRAMS: self.models}
 
-    def doc_grams(self, doc: Document) -> Counter:
-        """Gram multiset of a document under this model set's options."""
+    def doc_grams(self, doc: Document) -> GramGroups:
+        """Gram multiset of a document under this model set's options, one
+        ``Counter`` per length, in first-occurrence order."""
         norm = normalize(doc.text, concatenate=self.concatenate)
-        return extract_ngrams(norm, self.range, self.lowercase, self.pad)
+        words = norm.lowercased if self.lowercase else norm.words
+        by_length = _grams_by_length(words, self.range, self.pad)
+        return GramGroups([(n, Counter(grams).items()) for n, grams in by_length])
 
     def with_pm(
         self, pm: float, copy_counts: bool = False, rng: NgramRange | None = None

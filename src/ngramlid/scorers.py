@@ -10,11 +10,10 @@ every scorer takes the scored model set's pm as its last argument.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Document
-from .ngram import GramGroups, ModelSet, NgramModel, _penalty, group_by_length
+from .ngram import GramGroups, ModelSet, NgramModel, _penalty
 
 METHODS = ("simple", "sum_rf", "nb")
 
@@ -28,6 +27,7 @@ class Prediction:
 
 
 def _score_simple(grouped, model: NgramModel, pm: float) -> float:
+    """Number of gram tokens (with multiplicity) found in the model."""
     hit = 0
     for length, items in grouped:
         counts = model.counts.get(length)
@@ -40,6 +40,7 @@ def _score_simple(grouped, model: NgramModel, pm: float) -> float:
 
 
 def _score_sum_rf(grouped, model: NgramModel, pm: float) -> float:
+    """Sum of per-gram relative frequencies; absent grams contribute 0."""
     # integer accumulation per length, one division each: equal exact
     # scores come out as equal floats, whatever grams produced them
     terms = []
@@ -108,38 +109,18 @@ def _nb_length_terms(grouped, model: NgramModel) -> list[tuple[int, list[float],
 _SCORERS = {"simple": _score_simple, "sum_rf": _score_sum_rf, "nb": _score_nb}
 
 
-def score_simple(grams: Counter, model_set: ModelSet) -> dict[str, float]:
-    """Number of gram tokens (with multiplicity) found in each model."""
-    return score_with("simple", grams, model_set)
-
-
-def score_sum_rf(grams: Counter, model_set: ModelSet) -> dict[str, float]:
-    """Sum of per-gram relative frequencies; absent grams contribute 0."""
-    return score_with("sum_rf", grams, model_set)
-
-
-def score_nb(grams: Counter, model_set: ModelSet) -> dict[str, float]:
-    """Sum of negative log relative frequencies, penalty-smoothed. Lower wins."""
-    return score_with("nb", grams, model_set)
-
-
-def score_with(
-    method: str, grams: Counter | GramGroups, model_set: ModelSet
-) -> dict[str, float]:
-    """Score all languages of a model set over a precomputed gram multiset,
-    given as a Counter or already grouped by length."""
+def score_with(method: str, grams: GramGroups, model_set: ModelSet) -> dict[str, float]:
+    """Score all languages of a model set over a document's grouped grams."""
     scorer = _SCORERS[method]
-    grouped = group_by_length(grams)
+    grouped = grams.groups
     pm = model_set.penalty_modifier
     return {lang: scorer(grouped, m, pm) for lang, m in model_set.models.items()}
 
 
-def score_language(
-    method: str, grams: Counter | GramGroups, model: NgramModel, pm: float
-) -> float:
+def score_language(method: str, grams: GramGroups, model: NgramModel, pm: float) -> float:
     """Score a single language under penalty modifier ``pm``; bit-identical
     to its entry in ``score_with`` on a model set with that pm."""
-    return _SCORERS[method](group_by_length(grams), model, pm)
+    return _SCORERS[method](grams.groups, model, pm)
 
 
 def lower_is_better(method: str) -> bool:

@@ -179,7 +179,7 @@ def test_criterion_2_invariant_suite():
     for method in ("simple", "sum_rf", "nb"):
         assert classify(doc, model_set, method) == classify(doc, model_set, method)
     simple_scores = score_with("simple", model_set.doc_grams(doc), model_set)
-    budget = sum(model_set.doc_grams(doc).values())
+    budget = sum(c for _, pairs in model_set.doc_grams(doc).groups for _, c in pairs)
     for value in simple_scores.values():
         assert isinstance(value, int) and 0 <= value <= budget
     checked.append("determinism + simple bounds")
@@ -226,7 +226,8 @@ def test_criterion_2_invariant_suite():
     for line in trace_path.read_text().splitlines():
         _, doc_id, predicted, _, flag = line.split("\t")
         if flag == "1":
-            adopted[predicted].update(run_models.doc_grams(test.docs[int(doc_id)]))
+            for _, pairs in run_models.doc_grams(test.docs[int(doc_id)]).groups:
+                adopted[predicted].update(dict(pairs))
     for lang, model in run_models.models.items():
         grown: Counter = Counter()
         for n, table in model.counts.items():

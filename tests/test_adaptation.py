@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
 import string
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,6 +22,7 @@ from ngramlid import (
     classify,
     evaluation,
     heli_build,
+    heli_classify,
 )
 from ngramlid.corpus import Corpus, Document, ordered_split
 from ngramlid.synth import LanguageSpec, SynthSpec, generate
@@ -54,6 +57,44 @@ def test_epochs_zero_is_plain_batch(setup):
     models = _models(train)
     preds = adaptive_identify(test, models, "nb", AdaptConfig(k=5, epochs=0))
     assert preds == _batch(test, models)
+
+
+def _peak_bytes(fn) -> int:
+    """The ``tracemalloc`` peak of one call of ``fn``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", ["nb", "heli"])
+def test_epochs_zero_keeps_no_document_state(method):
+    # Without adaptation each document is scored once, so nothing of it
+    # but its prediction may outlive its scoring: the peak stays near a
+    # plain classify loop's instead of growing with the grams of the test set.
+    languages = tuple(
+        LanguageSpec(code=f"l{i}", inventory=string.ascii_lowercase[3 * i : 3 * i + 10])
+        for i in range(4)
+    )
+    spec = SynthSpec(
+        languages=languages, lines_per_language=100, words_per_line=6, mixing_rate=0.2,
+        shared=LanguageSpec(code="en", inventory="etaoins", word_lengths=(2, 3, 4)), seed=3,
+    )
+    train, dev = ordered_split(generate(spec), 0.25)
+    test = Corpus(docs=tuple(Document(d.id, d.text) for d in dev))
+    assert len(test) == 300
+    if method == "heli":
+        models = heli_build(train, HeliConfig(NgramRange(1, 5), NgramRange(1, 5), True, True, 2.15))
+        heli_classify(test.docs[0], models)  # the lazy known-items index and rows
+        plain = lambda: [heli_classify(doc, models) for doc in test]
+    else:
+        models = build_models(train, NgramRange(2, 6), 2.15)
+        plain = lambda: [classify(doc, models, "nb") for doc in test]
+    one_pass = _peak_bytes(lambda: adaptive_identify(test, models, method, AdaptConfig(epochs=0)))
+    assert one_pass <= 3 * _peak_bytes(plain)
 
 
 def test_huge_ct_blocks_all_updates(setup):
@@ -165,7 +206,8 @@ def test_trace_conservation_of_adopted_counts(setup, tmp_path):
     for line in trace.read_text().splitlines():
         _, doc_id, predicted, _, flag = line.split("\t")
         if flag == "1":
-            adopted[predicted].update(models.doc_grams(by_id[int(doc_id)]))
+            for _, pairs in models.doc_grams(by_id[int(doc_id)]).groups:
+                adopted[predicted].update(dict(pairs))
     for lang, model in models.models.items():
         grown: Counter = Counter()
         for n, table in model.counts.items():

@@ -23,7 +23,7 @@ from ngramlid.adaptation import ADAPT_METHODS
 from ngramlid.corpus import Corpus, Document, ordered_split
 from ngramlid import evaluation
 from ngramlid.evaluation import SweepResult, SweepRow, _exact_parts
-from ngramlid.ngram import GramGroups, NgramModel
+from ngramlid.ngram import NgramModel
 from ngramlid.scorers import _nb_length_terms, score_with, to_prediction
 from ngramlid.synth import generate, spec_from_dict
 
@@ -488,7 +488,7 @@ def test_nb_sweep_scores_equal_direct_scores(monkeypatch, seed):
     sweep(train, dev, "nb", ranges, pms)
 
     base = build_models(train, NgramRange(1, 6), pms[0])
-    grams = {doc.id: GramGroups(base.doc_grams(doc)) for doc in dev}
+    grams = {doc.id: base.doc_grams(doc) for doc in dev}
     expected = [
         (doc.id, score_with("nb", grams[doc.id].sliced(rng), base.with_pm(pm, rng=rng)))
         for rng in ranges for pm in pms for doc in dev

@@ -22,7 +22,7 @@ from ngramlid import (
     save_heli_models,
 )
 from ngramlid.corpus import Corpus, Document, normalize
-from ngramlid.heli import WORD_LENGTH_KEY, _doc_items, _last_resort_values
+from ngramlid.heli import WORD_LENGTH_KEY, _doc_items
 from ngramlid.ngram import _penalty
 
 
@@ -81,6 +81,29 @@ def test_nothing_matches_last_domain_penalty(toy):
     values = heli_score_word("zq", "zq", toy)
     assert values["A"] == 2.0 * math.log(9)
     assert values["B"] == 2.0 * math.log(6)
+
+
+def test_last_domain_length_no_word_reaches_costs_nothing(make_corpus):
+    # gramL 6-6 over words of at most three letters (padded, five
+    # characters) counts no gram, so no language has mass at length 6:
+    # an unknown word pays _penalty(pm, 0) == 0.0 in every language
+    corpus = make_corpus([("ab abc", "A"), ("b cd", "B"), ("xyz", "C")])
+    config = HeliConfig(lnr=NgramRange(6, 6), onr=None, lw=True, ow=False, pm=2.15)
+    models = heli_build(corpus, config)
+    assert all(not m.counts for m in models.submodels["gramL"].values())
+    for word in ("q", "Zzz", "abcdefg"):
+        values = heli_score_word(word, word.lower(), models)
+        assert values == {"A": 0.0, "B": 0.0, "C": 0.0}
+        doc = heli_score_doc(Document(0, word), models)
+        assert {lang: v.hex() for lang, v in doc.items()} == {
+            lang: v.hex() for lang, v in values.items()
+        }
+        assert doc == _reference_score_doc(Document(0, word), models)
+    mixed = heli_score_doc(Document(0, "abc q"), models)
+    assert mixed == _reference_score_doc(Document(0, "abc q"), models)
+    assert mixed["A"] == -math.log(1 / 2) / 2
+    assert mixed["B"] == 2.15 * math.log(2) / 2
+    assert mixed["C"] == 0.0  # one word in C: log 1
 
 
 def test_subdomain_reentry_at_shorter_length(make_corpus):
@@ -628,8 +651,13 @@ def _reference_score_doc(doc, models):
                 values = _reference_gram_values(word, rng, by_lang, models.config.pm)
             if values is not None:
                 break
-        else:
-            values = _last_resort_values(models)
+        else:  # every language pays the last domain's penalty at its shortest length
+            kind, rng, _ = models.config._domains[-1]
+            length = WORD_LENGTH_KEY if rng is None else rng.min_n
+            values = {
+                lang: _penalty(models.config.pm, m.totals.get(length, 0))
+                for lang, m in models.submodels[kind].items()
+            }
         for lang in languages:
             per_lang[lang].append(values[lang])
     return {lang: math.fsum(v) / len(norm.words) for lang, v in per_lang.items()}

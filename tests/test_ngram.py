@@ -9,6 +9,7 @@ import pytest
 from ngramlid import (
     HeliConfig,
     ModelIOError,
+    ModelSet,
     NgramModel,
     NgramRange,
     add_document,
@@ -241,7 +242,7 @@ def test_scale_invariance_property(make_corpus):
             b, s = base.models[lang], scaled.models[lang]
             for n, grams in b.counts.items():
                 for gram in grams:
-                    assert s.rel_freq(gram) == b.rel_freq(gram)
+                    assert s.counts[n][gram] / s.totals[n] == b.counts[n][gram] / b.totals[n]
                 assert s.totals[n] == k * b.totals[n]
                 assert _penalty(2.0, s.totals[n]) == pytest.approx(
                     _penalty(2.0, b.totals[n]) + 2.0 * math.log(k), rel=1e-12
@@ -369,9 +370,9 @@ def test_incremental_statistics_equal_a_full_refresh(make_corpus):
             for _ in range(rnd.randint(0, 4))
         )
         add_document(model_set, Document(i, text), rnd.choice("AB"))
-    model.add_grams(Counter({"zzzzzzzzz": 2, "zz": 1}))  # length 9: outside the range
-    model.add_grams(GramGroups(Counter({"ab": 3, "abcd": 1})))
-    model.add_grams(Counter({"word": 2, "w": 1}), length=0)
+    model.add_grams(_grouped({"zzzzzzzzz": 2, "zz": 1}))  # length 9: outside the range
+    model.add_grams(_grouped({"ab": 3, "abcd": 1}))
+    model.add_grams(GramGroups([(0, {"word": 2, "w": 1}.items())]))
     assert {4, 5, 6, 9, 0} <= set(model.counts)
     for m in model_set.models.values():
         assert m.totals == _refreshed(m).totals
@@ -528,6 +529,24 @@ def _reference_extract(words, rng, pad=True):
     return grams
 
 
+def _grouped(grams) -> GramGroups:
+    """A flat gram multiset grouped by gram length, ascending, each length
+    keeping its grams' first-occurrence order."""
+    by_len: dict[int, Counter] = {}
+    for gram, c in grams.items():
+        by_len.setdefault(len(gram), Counter())[gram] = c
+    return GramGroups([(n, by_len[n].items()) for n in sorted(by_len)])
+
+
+def _options(rng, lowercase=True, pad=True, concatenate=False) -> ModelSet:
+    """A model set with no languages, for ``doc_grams`` under these options."""
+    return ModelSet({}, rng, 1.0, lowercase, pad, concatenate)
+
+
+def _listed(grams: GramGroups) -> list:
+    return [(n, list(pairs)) for n, pairs in grams.groups]
+
+
 def test_extract_keeps_gram_order():
     rnd = random.Random(23)
     for _ in range(100):
@@ -541,9 +560,30 @@ def test_extract_keeps_gram_order():
         # extraction runs length by length: the old order, stably grouped by
         # length, so each length's grams keep the order scoring sees
         assert list(got.items()) == sorted(ref.items(), key=lambda kv: len(kv[0]))
-        assert [(n, list(pairs)) for n, pairs in GramGroups(got).groups] == [
-            (n, list(pairs)) for n, pairs in GramGroups(ref).groups
-        ]
+        assert _listed(_options(rng).doc_grams(Document(0, text))) == _listed(_grouped(ref))
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+@pytest.mark.parametrize("pad", [True, False])
+@pytest.mark.parametrize("concatenate", [False, True])
+def test_doc_grams_equals_reference_extraction(lowercase, pad, concatenate):
+    rnd = random.Random(f"doc-grams-{lowercase}-{pad}-{concatenate}")
+    for _ in range(60):
+        text = rnd.choice([" ", ", ", "1"]).join(
+            "".join(rnd.choice("abcAB") for _ in range(rnd.randint(1, 9)))
+            for _ in range(rnd.randint(0, 6))
+        )
+        rng = NgramRange(rnd.randint(1, 4), rnd.randint(4, 9))
+        got = _options(rng, lowercase, pad, concatenate).doc_grams(Document(0, text))
+        norm = normalize(text, concatenate=concatenate)
+        ref = _reference_extract(norm.lowercased if lowercase else norm.words, rng, pad)
+        lengths = [n for n, _ in got.groups]
+        assert lengths == sorted(set(lengths))
+        assert lengths == sorted({len(gram) for gram in ref})
+        for n, pairs in got.groups:
+            of_length = [(gram, c) for gram, c in ref.items() if len(gram) == n]
+            assert list(pairs) == of_length  # the counts, in first-occurrence order
+        assert len(got) == len(ref)
 
 
 def _slice_corpus():
@@ -609,13 +649,13 @@ def test_gram_groups_slice_equals_direct_extraction():
         text = " ".join(
             "".join(rnd.choice("abcde") for _ in range(rnd.randint(1, 9))) for _ in range(4)
         )
-        union = GramGroups(extract_ngrams(normalize(text), NgramRange(1, 8)))
+        union = _options(NgramRange(1, 8)).doc_grams(Document(0, text))
         rng = NgramRange(rnd.randint(1, 5), rnd.randint(5, 8))
-        direct = extract_ngrams(normalize(text), rng)
+        direct = _options(rng).doc_grams(Document(0, text))
         part = union.sliced(rng)
-        assert len(part) == len(direct)
+        assert len(part) == len(direct) == len(extract_ngrams(normalize(text), rng))
         assert {n: dict(pairs) for n, pairs in part.groups} == {
-            n: dict(pairs) for n, pairs in GramGroups(direct).groups
+            n: dict(pairs) for n, pairs in direct.groups
         }
 
 
@@ -686,7 +726,7 @@ def test_build_models_equals_per_document_folds(
             norm = normalize(doc.text, concatenate=concatenate)
             grams = _reference_extract(norm.lowercased if lowercase else norm.words, rng, pad)
             if grams:
-                want[doc.label].add_grams(grams)
+                want[doc.label].add_grams(_grouped(grams))
         empty = sorted(lang for lang, m in want.items() if not m.counts)
         if empty:
             with pytest.raises(ValueError, match=f"language {empty[0]!r}: nothing counted"):
@@ -743,9 +783,12 @@ def _check_heli_build_and_folds(tmp_path, corpus, config):
         norm = normalize(doc.text)
         for kind, rng, lower in config._domains:
             words = norm.lowercased if lower else norm.words
-            items = Counter(words) if rng is None else _reference_extract(words, rng)
+            if rng is None:
+                items = GramGroups([(0, Counter(words).items())] if words else [])
+            else:
+                items = _grouped(_reference_extract(words, rng))
             if items:
-                want[kind][doc.label].add_grams(items, 0 if rng is None else None)
+                want[kind][doc.label].add_grams(items)
     # the adaptation fold: heli_add_document into empty sub-models
     folded = HeliModelSet(
         config, {kind: {lang: NgramModel(lang) for lang in corpus.label_set} for kind in kinds}

@@ -14,13 +14,10 @@ from ngramlid import (
     NgramRange,
     build_models,
     classify,
-    score_nb,
-    score_simple,
-    score_sum_rf,
 )
 from ngramlid.corpus import Document
-from ngramlid.ngram import _penalty
-from ngramlid.scorers import score_with, to_prediction
+from ngramlid.ngram import GramGroups, _penalty
+from ngramlid.scorers import METHODS, score_language, score_with, to_prediction
 
 
 def _model(language: str, counts: dict[int, dict[str, int]]) -> NgramModel:
@@ -34,17 +31,25 @@ def _model_set(rng: NgramRange, pm: float, **by_lang) -> ModelSet:
     return ModelSet(models=models, range=rng, penalty_modifier=pm)
 
 
+def _grouped(grams: dict[str, int]) -> GramGroups:
+    """A flat gram multiset grouped by gram length, ascending."""
+    by_len: dict[int, dict[str, int]] = {}
+    for gram, c in grams.items():
+        by_len.setdefault(len(gram), {})[gram] = c
+    return GramGroups([(n, by_len[n].items()) for n in sorted(by_len)])
+
+
 def test_simple_counts_present_tokens():
     ms = _model_set(
         NgramRange(2, 2), 1.0, A={2: {"ab": 1}}, B={2: {"cd": 1}}
     )
-    scores = score_simple(Counter({"ab": 2, "cd": 1}), ms)
+    scores = score_with("simple", _grouped({"ab": 2, "cd": 1}), ms)
     assert scores == {"A": 2, "B": 1}
 
 
 def test_simple_empty_grams_all_tie():
     ms = _model_set(NgramRange(2, 2), 1.0, A={2: {"ab": 1}}, B={2: {"cd": 1}})
-    scores = score_simple(Counter(), ms)
+    scores = score_with("simple", _grouped({}), ms)
     assert scores == {"A": 0, "B": 0}
 
 
@@ -60,7 +65,7 @@ def test_simple_score_integral_and_bounded():
                 for g in rnd.sample(["a", "b", "ab", "xy", "zz"], rnd.randint(0, 5))
             }
         )
-        scores = score_simple(grams, ms)
+        scores = score_with("simple", _grouped(grams), ms)
         for value in scores.values():
             assert isinstance(value, int)
             assert 0 <= value <= sum(grams.values())
@@ -70,15 +75,15 @@ def test_sum_rf_single_gram():
     ms = _model_set(
         NgramRange(2, 2), 1.0, A={2: {"ab": 1, "cd": 3}}, B={2: {"xy": 7}}
     )
-    scores = score_sum_rf(Counter({"ab": 1}), ms)
+    scores = score_with("sum_rf", _grouped({"ab": 1}), ms)
     assert scores["A"] == 0.25
     assert scores["B"] == 0.0
 
 
 def test_sum_rf_linearity():
     ms = _model_set(NgramRange(2, 2), 1.0, A={2: {"ab": 2, "cd": 2}})
-    single = score_sum_rf(Counter({"ab": 1}), ms)["A"]
-    double = score_sum_rf(Counter({"ab": 2}), ms)["A"]
+    single = score_with("sum_rf", _grouped({"ab": 1}), ms)["A"]
+    double = score_with("sum_rf", _grouped({"ab": 2}), ms)["A"]
     assert double == 2 * single
 
 
@@ -89,7 +94,7 @@ def test_nb_present_vs_penalty():
         A={2: {"xy": 10, "zz": 90}},
         B={2: {"qq": 100}},
     )
-    scores = score_nb(Counter({"xy": 1}), ms)
+    scores = score_with("nb", _grouped({"xy": 1}), ms)
     assert scores["A"] == pytest.approx(-math.log(0.1), rel=1e-12)
     assert scores["B"] == pytest.approx(2.0 * math.log(100), rel=1e-12)
     assert scores["A"] < scores["B"]  # lower is better; B is worse
@@ -97,7 +102,7 @@ def test_nb_present_vs_penalty():
 
 def test_nb_empty_grams_all_tie():
     ms = _model_set(NgramRange(2, 2), 2.0, A={2: {"ab": 1}}, B={2: {"cd": 1}})
-    assert score_nb(Counter(), ms) == {"A": 0.0, "B": 0.0}
+    assert score_with("nb", _grouped({}), ms) == {"A": 0.0, "B": 0.0}
 
 
 def test_classify_recovers_training_language(make_corpus):
@@ -196,8 +201,8 @@ def test_nb_unseen_gram_shifts_by_equal_penalty():
 
     base = Counter({" a": 1, "aa": 1})
     extended = Counter({" a": 1, "aa": 1, "zz": 1})
-    before = score_nb(base, ms)
-    after = score_nb(extended, ms)
+    before = score_with("nb", _grouped(base), ms)
+    after = score_with("nb", _grouped(extended), ms)
     for lang in ("A", "B"):
         assert after[lang] == before[lang] + 1 * pen
     assert impl_ranking(before, lower=True) == impl_ranking(after, lower=True)
@@ -208,7 +213,7 @@ def test_nb_ranking_matches_linear_space_product(make_corpus):
     ms = build_models(make_corpus(pairs), NgramRange(1, 2), pm=2.0)
     oracle = BruteModel(pairs, 1, 2)
     for text in ("ab", "ba bb", "cc ab", "zz"):
-        scores = score_nb(ms.doc_grams(Document(0, text)), ms)
+        scores = score_with("nb", ms.doc_grams(Document(0, text)), ms)
         products = oracle.nb_products(text, pm=2)
         assert isinstance(products["A"], Fraction)
         assert impl_ranking(scores, lower=True) == sorted(
@@ -225,9 +230,12 @@ def test_to_prediction_tie_break_and_margin():
     assert pred.margin == 1.0
 
 
-def test_score_with_matches_named_scorers():
-    ms = _model_set(NgramRange(2, 2), 2.0, A={2: {"ab": 1}}, B={2: {"cd": 3}})
-    grams = Counter({"ab": 1, "cd": 2, "zz": 1})
-    assert score_with("simple", grams, ms) == score_simple(grams, ms)
-    assert score_with("sum_rf", grams, ms) == score_sum_rf(grams, ms)
-    assert score_with("nb", grams, ms) == score_nb(grams, ms)
+def test_score_language_matches_score_with():
+    ms = _model_set(NgramRange(1, 2), 2.0, A={2: {"ab": 1}, 1: {"a": 2}}, B={2: {"cd": 3}})
+    grams = _grouped({"ab": 1, "cd": 2, "zz": 1, "a": 3})
+    for method in METHODS:
+        scores = score_with(method, grams, ms)
+        assert list(scores) == ["A", "B"]
+        for lang, model in ms.models.items():
+            got = score_language(method, grams, model, ms.penalty_modifier)
+            assert float(got).hex() == float(scores[lang]).hex()
